@@ -17,6 +17,8 @@
 #include "core/adept.h"
 #include "model/schema_builder.h"
 #include "monitor/monitor.h"
+#include "org/org_model.h"
+#include "worklist/worklist_service.h"
 
 using namespace adept;
 
@@ -24,12 +26,16 @@ int main() {
   auto system = AdeptSystem::Create();
   AdeptSystem& adept = **system;
 
-  RoleId physician = *adept.org().AddRole("physician");
-  RoleId nurse = *adept.org().AddRole("nurse");
-  UserId dr_weber = *adept.org().AddUser("dr. weber");
-  UserId nurse_kim = *adept.org().AddUser("nurse kim");
-  (void)adept.org().AssignRole(dr_weber, physician);
-  (void)adept.org().AssignRole(nurse_kim, nurse);
+  OrgModel org;
+  RoleId physician = *org.AddRole("physician");
+  RoleId nurse = *org.AddRole("nurse");
+  UserId dr_weber = *org.AddUser("dr. weber");
+  UserId nurse_kim = *org.AddUser("nurse kim");
+  (void)org.AssignRole(dr_weber, physician);
+  (void)org.AssignRole(nurse_kim, nurse);
+  auto service = WorklistService::Create(&org, &adept);
+  WorklistService& worklist = **service;
+  adept.AddObserver(&worklist);
 
   // Treatment process: admit -> triage -> XOR(ward | icu) -> LOOP(treat,
   // evaluate) -> discharge. The loop repeats while "continue_treatment".
@@ -131,8 +137,8 @@ int main() {
   while (!patient_finished() && ++guard < 100) {
     bool worked = false;
     for (UserId user : {dr_weber, nurse_kim}) {
-      for (const WorkItem& item : adept.worklists().OffersFor(user)) {
-        (void)adept.worklists().Claim(item.id, user);
+      for (const WorkItem& item : worklist.OffersFor(user)) {
+        (void)worklist.Claim(item.id, user);
         (void)adept.StartActivity(patient, item.node);
         std::vector<ProcessInstance::DataWrite> writes;
         (void)adept.WithInstance(patient, [&](const ProcessInstance& inst) {

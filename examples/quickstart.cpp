@@ -8,6 +8,8 @@
 #include "core/adept.h"
 #include "model/schema_builder.h"
 #include "monitor/monitor.h"
+#include "org/org_model.h"
+#include "worklist/worklist_service.h"
 
 using namespace adept;
 
@@ -20,13 +22,22 @@ int main() {
   }
   AdeptSystem& adept = **system;
 
-  // 2. Organization: who works here?
-  RoleId clerk = *adept.org().AddRole("clerk");
-  RoleId warehouse = *adept.org().AddRole("warehouse");
-  UserId alice = *adept.org().AddUser("alice");
-  UserId bob = *adept.org().AddUser("bob");
-  (void)adept.org().AssignRole(alice, clerk);
-  (void)adept.org().AssignRole(bob, warehouse);
+  // 2. Organization: who works here? The worklist offers activated
+  // activities to the holders of their role; it observes the system.
+  OrgModel org;
+  RoleId clerk = *org.AddRole("clerk");
+  RoleId warehouse = *org.AddRole("warehouse");
+  UserId alice = *org.AddUser("alice");
+  UserId bob = *org.AddUser("bob");
+  (void)org.AssignRole(alice, clerk);
+  (void)org.AssignRole(bob, warehouse);
+  auto service = WorklistService::Create(&org, &adept);
+  if (!service.ok()) {
+    std::cerr << service.status() << "\n";
+    return 1;
+  }
+  WorklistService& worklist = **service;
+  adept.AddObserver(&worklist);
 
   // 3. Model the paper's online ordering process (Fig. 1, schema S).
   SchemaBuilder builder("online_order", 1);
@@ -67,10 +78,10 @@ int main() {
   while (!finished()) {
     bool worked = false;
     for (UserId user : {alice, bob}) {
-      auto offers = adept.worklists().OffersFor(user);
+      auto offers = worklist.OffersFor(user);
       if (offers.empty()) continue;
       const WorkItem& item = offers.front();
-      (void)adept.worklists().Claim(item.id, user);
+      (void)worklist.Claim(item.id, user);
       (void)adept.StartActivity(instance, item.node);
       Status done = adept.CompleteActivity(instance, item.node);
       std::string name = "?";
@@ -79,7 +90,7 @@ int main() {
         if (node != nullptr) name = node->name;
       });
       std::printf("step %d: %-8s completes '%s' (%s)\n", ++step,
-                  adept.org().UserName(user)->c_str(), name.c_str(),
+                  org.UserName(user)->c_str(), name.c_str(),
                   done.ok() ? "ok" : done.ToString().c_str());
       worked = true;
     }

@@ -877,11 +877,7 @@ Result<MigrationReport> AdeptCluster::Migrate(SchemaId from, SchemaId to,
     });
   }
   RunParallel(std::move(tasks));
-  auto merged = MergeReports(reports);
-  // Resync even when a shard failed: the successful shards' migrations
-  // are committed, so their stale items must still be retracted.
-  if (!options.dry_run) ResyncClusterWorklist();
-  return merged;
+  return MergeReports(reports);
 }
 
 Result<MigrationReport> AdeptCluster::MigrateToLatest(
@@ -907,21 +903,7 @@ Result<MigrationReport> AdeptCluster::MigrateToLatest(
     });
   }
   RunParallel(std::move(tasks));
-  auto merged = MergeReports(reports);
-  // Resync even when a shard failed: the successful shards' migrations
-  // are committed, so their stale items must still be retracted.
-  if (!options.dry_run) ResyncClusterWorklist();
-  return merged;
-}
-
-// Per-shard resyncs already ran inside AdeptSystem::Migrate; this one
-// reconciles the *cluster* worklist (revoke items whose node vanished in
-// the remap, offer what the demotion events could not announce).
-void AdeptCluster::ResyncClusterWorklist() {
-  worklist_->ResyncAfterMigration(
-      [this](const WorklistService::InstanceVisitor& visitor) {
-        ForEachInstance(visitor);
-      });
+  return MergeReports(reports);
 }
 
 // --- Durability / observers --------------------------------------------------
@@ -1208,7 +1190,9 @@ Status AdeptCluster::Resize(int new_shard_count) {
 
   // Self-check sweep: reconcile the worklist with engine truth under the
   // new placement (a no-op when the handover was clean).
-  ResyncClusterWorklist();
+  ForEachInstance([this](const ProcessInstance& instance) {
+    worklist_->Reconcile(instance);
+  });
   return Status::OK();
 }
 

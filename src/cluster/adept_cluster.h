@@ -89,14 +89,14 @@ struct ClusterOptions {
   // Per-shard AdeptSystem defaults (see AdeptOptions).
   StorageStrategy default_strategy = StorageStrategy::kOverlay;
   // Base durability paths; shard k appends ".shard<k>". Empty disables.
-  std::string wal_path;
-  std::string snapshot_path;
+  std::string wal_path{};
+  std::string snapshot_path{};
   // Durability level of each shard's group-commit WAL writer (see SyncMode
   // in storage/wal.h).
   SyncMode sync = SyncMode::kFlush;
   // Seed/policy of the shard-local drivers behind BatchOp::DriveStep (shard
   // k runs with seed `driver.seed + k`).
-  DriverOptions driver;
+  DriverOptions driver{};
   // Worker pool size; 0 sizes it to min(shards, hardware concurrency) —
   // more threads than cores only adds context switching, and the caller
   // thread already executes one shard group of every fan-out itself.
@@ -151,7 +151,7 @@ class AdeptCluster : public AdeptApi {
   // blocked internally via the schema lock.
   Status Resize(int new_shard_count);
 
-  // Direct shard access (tests, benchmarks, per-shard org/worklists). The
+  // Direct shard access (tests, benchmarks, substrate probes). The
   // caller owns the synchronization story when mixing this with concurrent
   // cluster calls.
   AdeptSystem& shard(size_t index) { return *shards_[index]->system; }
@@ -191,8 +191,10 @@ class AdeptCluster : public AdeptApi {
   const OrgModel& org() const { return org_; }
 
   // The cluster-wide concurrent worklist service. Subscribed to every
-  // shard's instance events; claim/start transitions are journaled to
-  // "<wal_path>.worklist" and rebuilt by Recover().
+  // shard's instance events; each shard's Migrate reconciles its migrated
+  // instances through it (OnInstanceMigrated), under that shard's lock.
+  // Claim/start transitions are journaled to "<wal_path>.worklist" and
+  // rebuilt by Recover().
   WorklistService& Worklist() { return *worklist_; }
 
   // --- AdeptApi: schema management (fans out to every shard) ---------------
@@ -510,9 +512,6 @@ class AdeptCluster : public AdeptApi {
   // Shared scaffold of Create()/Recover(): opens (or rebuilds) the
   // worklist service and subscribes it to every shard.
   Status AttachWorklist(bool recover);
-  // Shared tail of Migrate()/MigrateToLatest(): reconciles the worklist
-  // with post-migration engine truth.
-  void ResyncClusterWorklist();
 
   ClusterOptions options_;
   std::vector<std::shared_ptr<Shard>> shards_;

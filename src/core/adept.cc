@@ -39,7 +39,6 @@ Result<std::vector<ProcessInstance::DataWrite>> WritesFromJson(
 }  // namespace
 
 AdeptSystem::AdeptSystem(const AdeptOptions& options) : options_(options) {
-  fanout_.Add(&worklists_);
   engine_.set_observer(&fanout_);
 }
 
@@ -464,28 +463,21 @@ Status AdeptSystem::ApplyAdHocChange(InstanceId id, Delta delta) {
   return Log(wal_record);
 }
 
-void AdeptSystem::ResyncWorklists() {
-  std::vector<const ProcessInstance*> instances;
-  for (InstanceId id : engine_.InstanceIds()) {
-    instances.push_back(engine_.Find(id));
-  }
-  worklists_.Resync(instances);
-}
-
 Result<MigrationReport> AdeptSystem::Migrate(SchemaId from, SchemaId to,
                                              const MigrationOptions& options) {
   ADEPT_ASSIGN_OR_RETURN(MigrationReport report,
                          migration_manager_.MigrateAll(from, to, options));
   if (!options.dry_run) {
-    // Bias-cancellation migrations rewrite instance markings wholesale
-    // (no per-node events), which can strand work items referencing
-    // remapped node ids; reconcile before anyone claims a stale item.
-    ResyncWorklists();
     // Migration mutates instances below the facade's per-call hooks;
     // republish the touched instances so the read path sees the new
-    // schema refs and remapped markings.
+    // schema refs and remapped markings, then let observers reconcile:
+    // bias cancellation rewrites markings wholesale (no per-node events),
+    // which can strand work items referencing remapped node ids.
     for (const auto& result : report.results) {
       PublishSnapshot(result.id);
+      if (const ProcessInstance* instance = engine_.Find(result.id)) {
+        fanout_.OnInstanceMigrated(*instance);
+      }
     }
     JsonValue record = JsonValue::MakeObject();
     record.Set("t", JsonValue("migrate"));
@@ -781,15 +773,12 @@ Status AdeptSystem::ApplyWalRecord(const JsonValue& record) {
   if (type == "migrate") {
     MigrationOptions options;
     options.use_replay_checker = record.Get("use_replay").as_bool();
-    Status st =
-        migration_manager_
-            .MigrateAll(
-                SchemaId(static_cast<uint64_t>(record.Get("from").as_int())),
-                SchemaId(static_cast<uint64_t>(record.Get("to").as_int())),
-                options)
-            .status();
-    if (st.ok()) ResyncWorklists();
-    return st;
+    return migration_manager_
+        .MigrateAll(
+            SchemaId(static_cast<uint64_t>(record.Get("from").as_int())),
+            SchemaId(static_cast<uint64_t>(record.Get("to").as_int())),
+            options)
+        .status();
   }
   return Status::Corruption("unknown WAL record type: " + type);
 }

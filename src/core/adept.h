@@ -7,13 +7,16 @@
 //   Engine             running instances with ADEPT marking semantics
 //   InstanceStore      Fig. 2 storage representations (overlay/copy/on-demand)
 //   compliance         ad-hoc changes, compliance checks, migration
-//   OrgModel/Worklists staff assignment and work items
 //   monitor            Fig. 3 reports and visualization (separate headers)
 //   WAL + snapshots    durability: every state-changing call is logged via
 //                      a group-commit WalWriter (storage/wal_writer.h) with
 //                      a configurable SyncMode; Recover() replays the log
 //                      tail above the snapshot's covered LSN;
 //                      SaveSnapshot() checkpoints and truncates the log
+//
+// Staff assignment and work items live outside the facade: build an
+// OrgModel and a WorklistService (worklist/worklist_service.h) over this
+// system and subscribe it with AddObserver().
 //
 // Threading: the facade is single-threaded by design (one engine turn at a
 // time), matching the original prototype's per-server execution model.
@@ -34,8 +37,6 @@
 #include "compliance/migration.h"
 #include "core/adept_api.h"
 #include "model/schema.h"
-#include "org/org_model.h"
-#include "org/worklist.h"
 #include "runtime/driver.h"
 #include "runtime/engine.h"
 #include "storage/instance_store.h"
@@ -209,13 +210,9 @@ class AdeptSystem : public AdeptApi {
   // cluster's identical-schema invariant before importing instances.
   Status ReplicateSchemas(const JsonValue& repo_json);
 
-  // --- Organization ----------------------------------------------------------
+  // --- Observers -------------------------------------------------------------
 
-  OrgModel& org() { return org_; }
-  const OrgModel& org() const { return org_; }
-  WorklistManager& worklists() { return worklists_; }
-
-  // Subscribes an additional observer to all instance events (monitoring).
+  // Subscribes an observer to all instance events (worklists, monitoring).
   void AddObserver(InstanceObserver* observer) { fanout_.Add(observer); }
 
   // --- Durability ------------------------------------------------------------
@@ -276,9 +273,6 @@ class AdeptSystem : public AdeptApi {
   Status AdoptInstanceFromJson(const JsonValue& ij);
   JsonValue SnapshotToJson(uint64_t wal_lsn) const;
   Status LoadSnapshotJson(const JsonValue& json, uint64_t* wal_lsn);
-  // Reconciles worklists with engine truth after a migration (bias
-  // cancellation rewrites markings without firing instance events).
-  void ResyncWorklists();
   // Publishes `id`'s current state into the snapshot table (erases when
   // the instance is gone) and applies the publication delta to the query
   // indexes. No-op during recovery — Recover() bulk-publishes once at
@@ -294,8 +288,6 @@ class AdeptSystem : public AdeptApi {
   Engine engine_;
   InstanceStore store_{&repository_};
   MigrationManager migration_manager_{&engine_, &repository_, &store_};
-  OrgModel org_;
-  WorklistManager worklists_{&org_};
   ObserverFanout fanout_;
   SnapshotTable snapshots_;
   QueryIndex query_index_;

@@ -30,6 +30,10 @@ NodeId SchemaBuilder::AppendNode(Node node) {
   return *added;
 }
 
+NodeId SchemaBuilder::Activity(const std::string& name) {
+  return Activity(name, ActivityOptions{});
+}
+
 NodeId SchemaBuilder::Activity(const std::string& name,
                                const ActivityOptions& opts) {
   Node n;

@@ -29,10 +29,12 @@ namespace adept {
 
 class SchemaBuilder {
  public:
+  // Default member initializers keep designated-initializer call sites
+  // ({.role = clerk}) free of -Wmissing-field-initializers.
   struct ActivityOptions {
-    std::string activity_template;
-    RoleId role;
-    ServerId server;
+    std::string activity_template{};
+    RoleId role{};
+    ServerId server{};
   };
 
   struct BlockIds {
@@ -45,7 +47,10 @@ class SchemaBuilder {
   explicit SchemaBuilder(std::string type_name, int version = 1);
 
   // Appends an activity after the cursor and moves the cursor onto it.
-  NodeId Activity(const std::string& name, const ActivityOptions& opts = {});
+  // (An overload, not a `= {}` default argument: a nested struct with
+  // default member initializers is incomplete until the class closes.)
+  NodeId Activity(const std::string& name, const ActivityOptions& opts);
+  NodeId Activity(const std::string& name);
 
   // Declares a process data element.
   DataId Data(const std::string& name, DataType type);

@@ -1,9 +1,10 @@
 // Minimal organizational model: users, roles, staff assignment.
 //
 // ADEPT2 activities carry a staff-assignment role (Node::role); the
-// worklist manager offers activated activities to the users holding that
-// role. This module is deliberately small — enough to make the examples'
-// worklists realistic and to test revocation on dynamic changes.
+// WorklistService (worklist/worklist_service.h) offers activated
+// activities to the users holding that role. This module is deliberately
+// small — enough to make the examples' worklists realistic and to test
+// revocation on dynamic changes.
 
 #ifndef ADEPT_ORG_ORG_MODEL_H_
 #define ADEPT_ORG_ORG_MODEL_H_

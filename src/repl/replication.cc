@@ -573,11 +573,14 @@ Result<std::vector<WalFrame>> ReplicationPrimary::CollectFrames(
       return frames;
     }
     if (!tail_.empty() && tail_.front().lsn <= acked + 1) {
-      for (const WalFrame& frame : tail_) {
-        if (frame.lsn <= acked) continue;
-        if (frames.size() >= options_.max_batch_frames) break;
-        frames.push_back(frame);
-      }
+      // Tail LSNs strictly increase: binary-search the first unacked
+      // frame instead of walking the acked prefix under mu_ on every send.
+      auto first = std::partition_point(
+          tail_.begin(), tail_.end(),
+          [acked](const WalFrame& frame) { return frame.lsn <= acked; });
+      const size_t count = std::min(static_cast<size_t>(tail_.end() - first),
+                                    options_.max_batch_frames);
+      frames.assign(first, first + static_cast<std::ptrdiff_t>(count));
       return frames;
     }
   }

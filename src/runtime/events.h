@@ -1,7 +1,14 @@
 // Observer interface for instance-level runtime events.
 //
-// The worklist manager and the monitoring component subscribe to these
-// callbacks. Observers must not re-enter the instance synchronously.
+// The worklist service (worklist/worklist_service.h) and the monitoring
+// component subscribe to these callbacks. Observers must not re-enter the
+// instance synchronously.
+//
+// OnInstanceMigrated fires once per instance after a schema migration
+// (AdeptSystem::Migrate) republished it. Migration may rewrite the
+// marking wholesale without per-node events (bias cancellation remaps
+// node ids), so observers that track per-node state reconcile against
+// the instance here.
 
 #ifndef ADEPT_RUNTIME_EVENTS_H_
 #define ADEPT_RUNTIME_EVENTS_H_
@@ -37,6 +44,9 @@ class InstanceObserver {
     (void)data;
     (void)value;
   }
+  virtual void OnInstanceMigrated(const ProcessInstance& instance) {
+    (void)instance;
+  }
 };
 
 // Broadcasts instance events to any number of subscribers (the engine holds
@@ -61,6 +71,9 @@ class ObserverFanout : public InstanceObserver {
     for (InstanceObserver* o : observers_) {
       o->OnDataWrite(instance, writer, data, value);
     }
+  }
+  void OnInstanceMigrated(const ProcessInstance& instance) override {
+    for (InstanceObserver* o : observers_) o->OnInstanceMigrated(instance);
   }
 
  private:

@@ -29,6 +29,23 @@ bool CarriesClaim(const WorkItem& item) {
           item.state == WorkItemState::kStarted);
 }
 
+// The staff-assignment activity behind `node`, or nullptr when the node
+// does not exist, is not an activity, or carries no role: the
+// offer-eligibility rule.
+const Node* OfferableActivity(const SchemaView& schema, NodeId node) {
+  const Node* n = schema.FindNode(node);
+  if (n == nullptr || n->type != NodeType::kActivity || !n->role.valid()) {
+    return nullptr;
+  }
+  return n;
+}
+
+// Completed runs of `node` per the instance trace — the activation epoch
+// recorded in offered items.
+uint64_t ActivationEpoch(const ProcessInstance& instance, NodeId node) {
+  return instance.completed_runs(node);
+}
+
 }  // namespace
 
 WorklistService::WorklistService(const OrgModel* org, AdeptApi* api,
@@ -580,8 +597,6 @@ WorklistStats WorklistService::Stats() const {
         case WorkItemState::kStarted:
           ++stats.started;
           break;
-        case WorkItemState::kRevoked:
-          break;
       }
     }
   }
@@ -667,68 +682,62 @@ void WorklistService::OnNodeStateChange(const ProcessInstance& instance,
 
 // --- Adaptation hooks --------------------------------------------------------
 
-void WorklistService::ResyncAfterMigration(
-    const InstanceEnumerator& instances) {
-  instances([&](const ProcessInstance& instance) {
-    // Snapshot this instance's items (instance-index lock is a leaf; do
-    // not hold it while touching segments).
-    std::set<WorkItemId> ids;
-    {
-      InstanceSegment& iseg = *instance_segments_[
-          std::hash<InstanceId>()(instance.id()) & segment_mask_];
-      std::lock_guard<std::mutex> lock(iseg.mu);
-      auto found = iseg.items.find(instance.id());
-      if (found != iseg.items.end()) ids = found->second;
-    }
-    for (WorkItemId id : ids) {
-      ItemSegment& seg = *item_segments_[SegmentOfItem(id)];
-      std::lock_guard<std::mutex> lock(seg.mu);
-      auto it = seg.items.find(id.value());
-      if (it == seg.items.end()) continue;
-      WorkItem& item = it->second;
-      if (item.instance != instance.id()) continue;
-      const Node* n = instance.schema().FindNode(item.node);
-      NodeState state = n == nullptr ? NodeState::kNotActivated
-                                     : instance.node_state(item.node);
-      bool ok;
-      switch (item.state) {
-        case WorkItemState::kOffered:
+void WorklistService::Reconcile(const ProcessInstance& instance) {
+  // Snapshot this instance's items (instance-index lock is a leaf; do not
+  // hold it while touching segments).
+  std::set<WorkItemId> ids;
+  {
+    InstanceSegment& iseg = *instance_segments_[
+        std::hash<InstanceId>()(instance.id()) & segment_mask_];
+    std::lock_guard<std::mutex> lock(iseg.mu);
+    auto found = iseg.items.find(instance.id());
+    if (found != iseg.items.end()) ids = found->second;
+  }
+  for (WorkItemId id : ids) {
+    ItemSegment& seg = *item_segments_[SegmentOfItem(id)];
+    std::lock_guard<std::mutex> lock(seg.mu);
+    auto it = seg.items.find(id.value());
+    if (it == seg.items.end()) continue;
+    WorkItem& item = it->second;
+    if (item.instance != instance.id()) continue;
+    const Node* n = instance.schema().FindNode(item.node);
+    NodeState state = n == nullptr ? NodeState::kNotActivated
+                                   : instance.node_state(item.node);
+    bool ok = false;
+    switch (item.state) {
+      case WorkItemState::kOffered:
+        ok = state == NodeState::kActivated;
+        break;
+      case WorkItemState::kClaimed:
+        // A claimed item whose node is already Running was started by its
+        // owner concurrently; promote instead of revoking.
+        if (state == NodeState::kRunning) {
+          item.state = WorkItemState::kStarted;
+          JournalAsync("start", item.instance, item.node, item.claimed_by,
+                       item.epoch);
+          ok = true;
+        } else {
           ok = state == NodeState::kActivated;
-          break;
-        case WorkItemState::kClaimed:
-          // A claimed item whose node is already Running was started by
-          // its owner concurrently; promote instead of revoking.
-          if (state == NodeState::kRunning) {
-            item.state = WorkItemState::kStarted;
-            JournalAsync("start", item.instance, item.node, item.claimed_by,
-                         item.epoch);
-            ok = true;
-          } else {
-            ok = state == NodeState::kActivated;
-          }
-          break;
-        case WorkItemState::kStarted:
-          ok = state == NodeState::kRunning ||
-               state == NodeState::kSuspended || state == NodeState::kFailed;
-          break;
-        default:
-          ok = false;
-          break;
-      }
-      if (!ok) {
-        revoked_total_.fetch_add(1, std::memory_order_relaxed);
-        EraseItemLocked(seg, item);
-      }
+        }
+        break;
+      case WorkItemState::kStarted:
+        ok = state == NodeState::kRunning || state == NodeState::kSuspended ||
+             state == NodeState::kFailed;
+        break;
     }
-    // Offer Activated role activities the remap left without an item.
-    for (const auto& [node, state] : instance.marking().node_states()) {
-      if (state != NodeState::kActivated) continue;
-      const Node* n = OfferableActivity(instance.schema(), node);
-      if (n == nullptr) continue;
-      CreateItem(instance.id(), node, n->role, WorkItemState::kOffered,
-                 UserId::Invalid(), ActivationEpoch(instance, node));
+    if (!ok) {
+      revoked_total_.fetch_add(1, std::memory_order_relaxed);
+      EraseItemLocked(seg, item);
     }
-  });
+  }
+  // Offer Activated role activities the remap left without an item.
+  for (const auto& [node, state] : instance.marking().node_states()) {
+    if (state != NodeState::kActivated) continue;
+    const Node* n = OfferableActivity(instance.schema(), node);
+    if (n == nullptr) continue;
+    CreateItem(instance.id(), node, n->role, WorkItemState::kOffered,
+               UserId::Invalid(), ActivationEpoch(instance, node));
+  }
 }
 
 }  // namespace adept

@@ -1,8 +1,8 @@
-// WorklistService: cluster-wide concurrent task distribution.
+// WorklistService: concurrent task distribution over any AdeptApi.
 //
-// The per-shard WorklistManager (org/worklist.h) is a single-threaded toy
-// bound to one AdeptSystem; this service is the scale-out counterpart: it
-// subscribes to instance events across every shard of an AdeptCluster and
+// The one worklist of the system. It observes the instance events of one
+// AdeptSystem (subscribed with AdeptSystem::AddObserver) or of every
+// shard of an AdeptCluster (which owns one and subscribes it itself), and
 // serves worklists to many concurrent actors. The paper's promise — all
 // adaptation complexity "is hidden from users", who only ever see a
 // consistent worklist — survives ad-hoc deletion, migration demotion, and
@@ -18,7 +18,8 @@
 //           the engine event (under the owner shard's lock) flips the item
 //   Complete / Release (back to offered) / Delegate (new owner)
 //   Revoke  skip, deletion, demotion, or a migration that removed the
-//           node retracts offered *and* claimed items
+//           node retracts offered *and* claimed items; the item is
+//           dropped, so a stale claim ticket gets kNotFound
 //
 // Concurrency: the item table is internally sharded — items are hashed by
 // (instance, node) into segments with one mutex each, and the segment
@@ -62,13 +63,31 @@
 #include "common/status.h"
 #include "core/adept_api.h"
 #include "org/org_model.h"
-#include "org/worklist.h"
 #include "runtime/events.h"
 #include "runtime/instance.h"
 #include "storage/wal.h"
 #include "storage/wal_writer.h"
 
 namespace adept {
+
+enum class WorkItemState {
+  kOffered = 0,  // visible in role members' worklists
+  kClaimed,      // reserved by one user, not yet started
+  kStarted,      // activity execution began
+};
+
+struct WorkItem {
+  WorkItemId id;
+  InstanceId instance;
+  NodeId node;
+  RoleId role;
+  WorkItemState state = WorkItemState::kOffered;
+  UserId claimed_by;
+  // Activation epoch: completed runs of the node when the item was
+  // offered. Distinguishes loop iterations of the same (instance, node)
+  // in the claim journal.
+  uint64_t epoch = 0;
+};
 
 struct WorklistServiceOptions {
   // Claim journal path; empty disables durability (claims die with the
@@ -97,8 +116,11 @@ class WorklistService : public InstanceObserver {
   using InstanceEnumerator = std::function<void(const InstanceVisitor&)>;
 
   // Fresh service: truncates any existing journal at the configured path.
-  // `api` routes Start/Complete to wherever the instance lives; `org`
-  // answers role-membership checks. Both must outlive the service.
+  // `api` (an AdeptSystem or an AdeptCluster) routes Start/Complete to
+  // wherever the instance lives and serves the snapshots offers are
+  // revalidated against; `org` answers role-membership checks. Both must
+  // outlive the service, which the caller subscribes to `api`'s instance
+  // events (AdeptSystem::AddObserver).
   static Result<std::unique_ptr<WorklistService>> Create(
       const OrgModel* org, AdeptApi* api,
       const WorklistServiceOptions& options = {});
@@ -178,17 +200,21 @@ class WorklistService : public InstanceObserver {
 
   // --- Adaptation hooks -----------------------------------------------------
 
-  // Reconciles the worklist with engine truth after a migration fan-out:
-  // revokes live items whose node vanished from the (possibly remapped)
-  // schema or is no longer Activated/Running, and offers Activated
-  // role-carrying activities without a live item. Runs per instance under
-  // that instance's shard lock (via `instances`), so it is exact even
-  // with concurrent traffic.
-  void ResyncAfterMigration(const InstanceEnumerator& instances);
+  // Reconciles `instance`'s items with engine truth: revokes live items
+  // whose node vanished from the (possibly remapped) schema or is no
+  // longer Activated/Running, and offers Activated role-carrying
+  // activities without a live item. The caller holds the instance's
+  // shard lock, so it is exact even with concurrent traffic. Runs after
+  // every migrated instance (OnInstanceMigrated) and in the cluster's
+  // post-resize self-check sweep.
+  void Reconcile(const ProcessInstance& instance);
 
   // InstanceObserver (called under the owning shard's lock):
   void OnNodeStateChange(const ProcessInstance& instance, NodeId node,
                          NodeState from, NodeState to) override;
+  void OnInstanceMigrated(const ProcessInstance& instance) override {
+    Reconcile(instance);
+  }
 
  private:
   using LiveKey = std::pair<uint64_t, uint32_t>;  // (instance, node)

@@ -8,8 +8,10 @@
 #include "change/change_op.h"
 #include "core/adept.h"
 #include "monitor/monitor.h"
+#include "org/org_model.h"
 #include "storage/wal.h"
 #include "tests/test_fixtures.h"
+#include "worklist/worklist_service.h"
 
 namespace adept {
 namespace {
@@ -214,11 +216,15 @@ TEST(AdeptSystemTest, WorklistIntegration) {
   ASSERT_TRUE(system.ok());
   AdeptSystem& adept = **system;
 
-  auto clerk = adept.org().AddRole("clerk");
+  OrgModel org;
+  auto clerk = org.AddRole("clerk");
   ASSERT_TRUE(clerk.ok());
-  auto alice = adept.org().AddUser("alice");
+  auto alice = org.AddUser("alice");
   ASSERT_TRUE(alice.ok());
-  ASSERT_TRUE(adept.org().AssignRole(*alice, *clerk).ok());
+  ASSERT_TRUE(org.AssignRole(*alice, *clerk).ok());
+  auto worklist = WorklistService::Create(&org, &adept);
+  ASSERT_TRUE(worklist.ok());
+  adept.AddObserver(worklist->get());
 
   SchemaBuilder b("office", 1);
   b.Activity("file papers", {.role = *clerk});
@@ -228,12 +234,13 @@ TEST(AdeptSystemTest, WorklistIntegration) {
   auto inst = adept.CreateInstance("office");
   ASSERT_TRUE(inst.ok());
 
-  auto offers = adept.worklists().OffersFor(*alice);
+  auto offers = (*worklist)->OffersFor(*alice);
   ASSERT_EQ(offers.size(), 1u);
-  ASSERT_TRUE(adept.worklists().Claim(offers[0].id, *alice).ok());
+  ASSERT_TRUE((*worklist)->Claim(offers[0].id, *alice).ok());
   ASSERT_TRUE(adept.StartActivity(*inst, offers[0].node).ok());
   ASSERT_TRUE(adept.CompleteActivity(*inst, offers[0].node).ok());
   EXPECT_TRUE(adept.SnapshotOf(*inst)->finished);
+  EXPECT_EQ((*worklist)->Stats().completed_total, 1u);
 }
 
 TEST(AdeptSystemTest, WalRecoveryRestoresFullState) {

@@ -1,14 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "change/change_op.h"
-#include "compliance/adhoc.h"
 #include "core/adept.h"
-#include "org/org_model.h"
-#include "org/worklist.h"
-#include "storage/instance_store.h"
-#include "storage/schema_repository.h"
 #include "model/schema_builder.h"
-#include "runtime/engine.h"
+#include "org/org_model.h"
+#include "worklist/worklist_service.h"
 
 namespace adept {
 namespace {
@@ -23,6 +19,8 @@ std::shared_ptr<const ProcessSchema> RoleSchema(RoleId clerk, RoleId packer) {
   return schema.ok() ? *schema : nullptr;
 }
 
+// A WorklistService over one AdeptSystem: the application owns the org
+// model and the service, and subscribes the service to the system.
 class WorklistTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -34,12 +32,24 @@ class WorklistTest : public ::testing::Test {
     ASSERT_TRUE(org_.AssignRole(bob_, packer_).ok());
     schema_ = RoleSchema(clerk_, packer_);
     ASSERT_NE(schema_, nullptr);
+
+    auto system = AdeptSystem::Create();
+    ASSERT_TRUE(system.ok());
+    adept_ = std::move(*system);
+    auto service = WorklistService::Create(&org_, adept_.get());
+    ASSERT_TRUE(service.ok());
+    worklist_ = std::move(*service);
+    adept_->AddObserver(worklist_.get());
   }
 
   OrgModel org_;
   RoleId clerk_, packer_;
   UserId alice_, bob_;
   std::shared_ptr<const ProcessSchema> schema_;
+  // Declared before the system, so destroyed after it: the system never
+  // holds a dangling observer.
+  std::unique_ptr<WorklistService> worklist_;
+  std::unique_ptr<AdeptSystem> adept_;
 };
 
 TEST(OrgModelTest, RolesAndUsers) {
@@ -69,215 +79,181 @@ TEST(OrgModelTest, RolesAndUsers) {
 }
 
 TEST_F(WorklistTest, OffersFollowActivation) {
-  WorklistManager worklists(&org_);
-  ProcessInstance inst(InstanceId(1), schema_, SchemaId(1));
-  inst.set_observer(&worklists);
-  ASSERT_TRUE(inst.Start().ok());
+  ASSERT_TRUE(adept_->DeployProcessType(schema_).ok());
+  InstanceId id = *adept_->CreateInstance("role_proc");
 
   // "take order" is activated -> offered to alice (clerk), not bob.
-  auto alice_offers = worklists.OffersFor(alice_);
+  auto alice_offers = worklist_->OffersFor(alice_);
   ASSERT_EQ(alice_offers.size(), 1u);
   EXPECT_EQ(alice_offers[0].node, schema_->FindNodeByName("take order"));
-  EXPECT_TRUE(worklists.OffersFor(bob_).empty());
+  EXPECT_TRUE(worklist_->OffersFor(bob_).empty());
 
   // Claim and start.
-  ASSERT_TRUE(worklists.Claim(alice_offers[0].id, alice_).ok());
-  EXPECT_TRUE(worklists.OffersFor(alice_).empty());  // claimed, not offered
-  ASSERT_TRUE(inst.StartActivity(alice_offers[0].node).ok());
-  ASSERT_TRUE(inst.CompleteActivity(alice_offers[0].node).ok());
+  ASSERT_TRUE(worklist_->Claim(alice_offers[0].id, alice_).ok());
+  EXPECT_TRUE(worklist_->OffersFor(alice_).empty());  // claimed, not offered
+  ASSERT_TRUE(adept_->StartActivity(id, alice_offers[0].node).ok());
+  ASSERT_TRUE(adept_->CompleteActivity(id, alice_offers[0].node).ok());
 
   // Next item goes to bob.
-  auto bob_offers = worklists.OffersFor(bob_);
+  auto bob_offers = worklist_->OffersFor(bob_);
   ASSERT_EQ(bob_offers.size(), 1u);
   EXPECT_EQ(bob_offers[0].node, schema_->FindNodeByName("pack"));
 }
 
 TEST_F(WorklistTest, ClaimAuthorizationEnforced) {
-  WorklistManager worklists(&org_);
-  ProcessInstance inst(InstanceId(1), schema_, SchemaId(1));
-  inst.set_observer(&worklists);
-  ASSERT_TRUE(inst.Start().ok());
-  auto offers = worklists.OffersFor(alice_);
+  ASSERT_TRUE(adept_->DeployProcessType(schema_).ok());
+  ASSERT_TRUE(adept_->CreateInstance("role_proc").ok());
+  auto offers = worklist_->OffersFor(alice_);
   ASSERT_EQ(offers.size(), 1u);
   // bob is no clerk.
-  EXPECT_EQ(worklists.Claim(offers[0].id, bob_).code(),
+  EXPECT_EQ(worklist_->Claim(offers[0].id, bob_).code(),
             StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(worklists.Claim(offers[0].id, alice_).ok());
+  ASSERT_TRUE(worklist_->Claim(offers[0].id, alice_).ok());
   // Double claim rejected.
-  EXPECT_FALSE(worklists.Claim(offers[0].id, alice_).ok());
+  EXPECT_FALSE(worklist_->Claim(offers[0].id, alice_).ok());
 }
 
 TEST_F(WorklistTest, AdHocDeletionRevokesWorkItem) {
-  SchemaRepository repo;
-  auto schema_id = repo.Deploy(schema_);
-  ASSERT_TRUE(schema_id.ok());
-  InstanceStore store(&repo);
-  WorklistManager worklists(&org_);
-
-  Engine engine;
-  engine.set_observer(&worklists);
-  auto created = engine.CreateInstance(schema_, *schema_id);
-  ASSERT_TRUE(created.ok());
-  ProcessInstance* inst = *created;
-  ASSERT_TRUE(store.Register(inst->id(), *schema_id).ok());
-  ASSERT_TRUE(inst->Start().ok());
-  ASSERT_EQ(worklists.offered_count(), 1u);
+  ASSERT_TRUE(adept_->DeployProcessType(schema_).ok());
+  InstanceId id = *adept_->CreateInstance("role_proc");
+  ASSERT_EQ(worklist_->Stats().offered, 1u);
 
   // Delete the offered activity ad hoc: the work item must be revoked.
   Delta delta;
   delta.Add(std::make_unique<DeleteActivityOp>(
       schema_->FindNodeByName("take order")));
-  ASSERT_TRUE(ApplyAdHocChange(*inst, store, std::move(delta)).ok());
+  ASSERT_TRUE(adept_->ApplyAdHocChange(id, std::move(delta)).ok());
 
-  EXPECT_EQ(worklists.revoked_count(), 1u);
+  EXPECT_EQ(worklist_->Stats().revoked_total, 1u);
   // The successor ("pack") is offered instead.
-  auto bob_offers = worklists.OffersFor(bob_);
+  auto bob_offers = worklist_->OffersFor(bob_);
   ASSERT_EQ(bob_offers.size(), 1u);
   EXPECT_EQ(bob_offers[0].node, schema_->FindNodeByName("pack"));
 }
 
 TEST_F(WorklistTest, AdHocDeletionRevokesClaimedItemExactlyOnce) {
-  SchemaRepository repo;
-  auto schema_id = repo.Deploy(schema_);
-  ASSERT_TRUE(schema_id.ok());
-  InstanceStore store(&repo);
-  WorklistManager worklists(&org_);
-
-  Engine engine;
-  engine.set_observer(&worklists);
-  auto created = engine.CreateInstance(schema_, *schema_id);
-  ASSERT_TRUE(created.ok());
-  ProcessInstance* inst = *created;
-  ASSERT_TRUE(store.Register(inst->id(), *schema_id).ok());
-  ASSERT_TRUE(inst->Start().ok());
+  ASSERT_TRUE(adept_->DeployProcessType(schema_).ok());
+  InstanceId id = *adept_->CreateInstance("role_proc");
 
   // Claim the offered "take order" before it is deleted ad hoc.
-  auto offers = worklists.OffersFor(alice_);
+  auto offers = worklist_->OffersFor(alice_);
   ASSERT_EQ(offers.size(), 1u);
-  ASSERT_TRUE(worklists.Claim(offers[0].id, alice_).ok());
+  ASSERT_TRUE(worklist_->Claim(offers[0].id, alice_).ok());
 
   Delta delta;
   delta.Add(std::make_unique<DeleteActivityOp>(
       schema_->FindNodeByName("take order")));
-  ASSERT_TRUE(ApplyAdHocChange(*inst, store, std::move(delta)).ok());
+  ASSERT_TRUE(adept_->ApplyAdHocChange(id, std::move(delta)).ok());
 
   // Retracted exactly once — claimed items included.
-  EXPECT_EQ(worklists.revoked_count(), 1u);
-  EXPECT_TRUE(worklists.OffersFor(alice_).empty());
-  EXPECT_FALSE(worklists.Claim(offers[0].id, alice_).ok());
+  EXPECT_EQ(worklist_->Stats().revoked_total, 1u);
+  EXPECT_TRUE(worklist_->OffersFor(alice_).empty());
+  EXPECT_TRUE(worklist_->AssignedTo(alice_).empty());
+  EXPECT_EQ(worklist_->Claim(offers[0].id, alice_).code(),
+            StatusCode::kNotFound);
 }
 
 // Regression: a migration with bias cancellation rewrites the instance
 // marking wholesale (no per-node events), leaving work items that
 // reference the cancelled bias node ids. Claiming such a stale item used
-// to succeed; Migrate now resyncs the worklist and the claim fails
+// to succeed; Migrate now reports each migrated instance to its observers
+// (OnInstanceMigrated), the service reconciles it, and the claim fails
 // kNotFound.
 TEST_F(WorklistTest, StaleItemAfterBiasCancellationMigration) {
-  auto system = AdeptSystem::Create();
-  ASSERT_TRUE(system.ok());
-  AdeptSystem& adept = **system;
-  RoleId clerk = *adept.org().AddRole("clerk");
-  UserId alice = *adept.org().AddUser("alice");
-  ASSERT_TRUE(adept.org().AssignRole(alice, clerk).ok());
-
   SchemaBuilder b("bias_proc", 1);
-  NodeId a = b.Activity("a", {.role = clerk});
-  NodeId c = b.Activity("c", {.role = clerk});
+  NodeId a = b.Activity("a", {.role = clerk_});
+  NodeId c = b.Activity("c", {.role = clerk_});
   auto schema = b.Build();
   ASSERT_TRUE(schema.ok());
-  auto v1 = adept.DeployProcessType(*schema);
+  auto v1 = adept_->DeployProcessType(*schema);
   ASSERT_TRUE(v1.ok());
 
-  InstanceId id = *adept.CreateInstance("bias_proc");
-  ASSERT_TRUE(adept.StartActivity(id, a).ok());
-  ASSERT_TRUE(adept.CompleteActivity(id, a).ok());
+  InstanceId id = *adept_->CreateInstance("bias_proc");
+  ASSERT_TRUE(adept_->StartActivity(id, a).ok());
+  ASSERT_TRUE(adept_->CompleteActivity(id, a).ok());
 
   // Ad-hoc: insert "x" between a and c; it activates and is offered.
   auto make_insert = [&] {
     Delta delta;
     NewActivitySpec spec;
     spec.name = "x";
-    spec.role = clerk;
+    spec.role = clerk_;
     delta.Add(std::make_unique<SerialInsertOp>(spec, a, c));
     return delta;
   };
-  ASSERT_TRUE(adept.ApplyAdHocChange(id, make_insert()).ok());
-  auto offers = adept.worklists().OffersFor(alice);
+  ASSERT_TRUE(adept_->ApplyAdHocChange(id, make_insert()).ok());
+  auto offers = worklist_->OffersFor(alice_);
   ASSERT_EQ(offers.size(), 1u);
   WorkItemId stale = offers[0].id;
+  // The insert demoted "c", retracting its offer once already.
+  const size_t revoked_before = worklist_->Stats().revoked_total;
 
   // The type evolves by the semantically identical change; migration
   // cancels the bias and remaps the instance state onto the type's ids.
-  auto v2 = adept.EvolveProcessType(*v1, make_insert());
+  auto v2 = adept_->EvolveProcessType(*v1, make_insert());
   ASSERT_TRUE(v2.ok());
-  auto report = adept.Migrate(*v1, *v2);
+  auto report = adept_->Migrate(*v1, *v2);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_EQ(report->MigratedTotal(), 1u);
 
   // The stale item (bias node id) is gone; claiming it is kNotFound.
-  EXPECT_EQ(adept.worklists().Claim(stale, alice).code(),
-            StatusCode::kNotFound);
+  EXPECT_EQ(worklist_->Claim(stale, alice_).code(), StatusCode::kNotFound);
+  EXPECT_EQ(worklist_->Stats().revoked_total, revoked_before + 1);
   // Exactly one live offer for the remapped "x" node remains, claimable.
-  offers = adept.worklists().OffersFor(alice);
+  offers = worklist_->OffersFor(alice_);
   ASSERT_EQ(offers.size(), 1u);
   EXPECT_NE(offers[0].id, stale);
-  auto snapshot = adept.SnapshotOf(id);
+  auto snapshot = adept_->SnapshotOf(id);
   ASSERT_NE(snapshot, nullptr);
   EXPECT_NE(snapshot->schema->FindNode(offers[0].node), nullptr);
-  EXPECT_TRUE(adept.worklists().Claim(offers[0].id, alice).ok());
+  EXPECT_TRUE(worklist_->Claim(offers[0].id, alice_).ok());
 }
 
 // Migration demotion (paper: state adaptation may deactivate an activity
 // when the type change inserts a predecessor) retracts offered and
 // claimed items exactly once.
 TEST_F(WorklistTest, MigrationDemotionRevokesClaimedItems) {
-  auto system = AdeptSystem::Create();
-  ASSERT_TRUE(system.ok());
-  AdeptSystem& adept = **system;
-  RoleId clerk = *adept.org().AddRole("clerk");
-  UserId alice = *adept.org().AddUser("alice");
-  ASSERT_TRUE(adept.org().AssignRole(alice, clerk).ok());
-
   SchemaBuilder b("demote_proc", 1);
-  NodeId a = b.Activity("a", {.role = clerk});
-  NodeId c = b.Activity("c", {.role = clerk});
+  NodeId a = b.Activity("a", {.role = clerk_});
+  NodeId c = b.Activity("c", {.role = clerk_});
   auto schema = b.Build();
   ASSERT_TRUE(schema.ok());
-  auto v1 = adept.DeployProcessType(*schema);
+  auto v1 = adept_->DeployProcessType(*schema);
   ASSERT_TRUE(v1.ok());
 
-  InstanceId offered_id = *adept.CreateInstance("demote_proc");
-  InstanceId claimed_id = *adept.CreateInstance("demote_proc");
+  InstanceId offered_id = *adept_->CreateInstance("demote_proc");
+  InstanceId claimed_id = *adept_->CreateInstance("demote_proc");
   for (InstanceId id : {offered_id, claimed_id}) {
-    ASSERT_TRUE(adept.StartActivity(id, a).ok());
-    ASSERT_TRUE(adept.CompleteActivity(id, a).ok());
+    ASSERT_TRUE(adept_->StartActivity(id, a).ok());
+    ASSERT_TRUE(adept_->CompleteActivity(id, a).ok());
   }
-  auto offers = adept.worklists().OffersFor(alice);
+  auto offers = worklist_->OffersFor(alice_);
   ASSERT_EQ(offers.size(), 2u);
   const WorkItem claimed_item =
       offers[0].instance == claimed_id ? offers[0] : offers[1];
-  ASSERT_TRUE(adept.worklists().Claim(claimed_item.id, alice).ok());
+  ASSERT_TRUE(worklist_->Claim(claimed_item.id, alice_).ok());
 
   Delta delta;
   NewActivitySpec spec;
   spec.name = "gate";
-  spec.role = clerk;
+  spec.role = clerk_;
   delta.Add(std::make_unique<SerialInsertOp>(spec, a, c));
-  auto v2 = adept.EvolveProcessType(*v1, std::move(delta));
+  auto v2 = adept_->EvolveProcessType(*v1, std::move(delta));
   ASSERT_TRUE(v2.ok());
-  auto report = adept.Migrate(*v1, *v2);
+  auto report = adept_->Migrate(*v1, *v2);
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->MigratedTotal(), 2u);
 
   // Both "c" items (one offered, one claimed) retracted exactly once;
   // the new "gate" is offered on both instances.
-  EXPECT_EQ(adept.worklists().revoked_count(), 2u);
-  offers = adept.worklists().OffersFor(alice);
+  EXPECT_EQ(worklist_->Stats().revoked_total, 2u);
+  offers = worklist_->OffersFor(alice_);
   ASSERT_EQ(offers.size(), 2u);
   for (const WorkItem& item : offers) {
     EXPECT_NE(item.node, c);
   }
-  EXPECT_FALSE(adept.worklists().Claim(claimed_item.id, alice).ok());
+  EXPECT_EQ(worklist_->Claim(claimed_item.id, alice_).code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(WorklistTest, SkippedBranchRevokesOffer) {
@@ -291,18 +267,18 @@ TEST_F(WorklistTest, SkippedBranchRevokesOffer) {
   });
   auto schema = b.Build();
   ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(adept_->DeployProcessType(*schema).ok());
 
-  WorklistManager worklists(&org_);
-  ProcessInstance inst(InstanceId(1), *schema, SchemaId(1));
-  inst.set_observer(&worklists);
-  ASSERT_TRUE(inst.Start().ok());
-  ASSERT_TRUE(inst.StartActivity(init).ok());
-  ASSERT_TRUE(inst.CompleteActivity(init, {{sel, DataValue::Int(0)}}).ok());
+  InstanceId id = *adept_->CreateInstance("xor_roles");
+  ASSERT_TRUE(adept_->StartActivity(id, init).ok());
+  ASSERT_TRUE(
+      adept_->CompleteActivity(id, init, {{sel, DataValue::Int(0)}}).ok());
 
   // Only "left" is offered; "right" was skipped without ever being offered.
-  auto offers = worklists.OffersFor(bob_);
+  auto offers = worklist_->OffersFor(bob_);
   ASSERT_EQ(offers.size(), 1u);
   EXPECT_EQ(offers[0].node, (*schema)->FindNodeByName("left"));
+  EXPECT_EQ(worklist_->Stats().revoked_total, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 //     primary reconnects and resumes from the acked prefix
 //   - lost ACK: the batch applied but unacknowledged is reconciled by the
 //     resume handshake, not re-applied
+//   - bounded tail buffer: a peer acked inside the tail resumes from it; a
+//     peer acked below the evicted front catches up from the WAL file
 //   - stale replica whose frames were checkpoint-truncated away catches up
 //     via full snapshot transfer
 //   - promote-then-old-primary-rejoins: the divergent unacked suffix is
@@ -145,6 +147,23 @@ size_t CountInstances(AdeptCluster& cluster) {
   size_t count = 0;
   cluster.ForEachSnapshot([&](const InstanceSnapshot&) { ++count; });
   return count;
+}
+
+// Polls until shard 0's primary has seen the replica ack everything it
+// holds durable (the replica applying a frame precedes the primary
+// reading its ACK).
+bool WaitPeerAcked(AdeptCluster& cluster, int timeout_ms = 15000) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  for (;;) {
+    PrimaryStatus status = cluster.ReplicationStatus().shards[0];
+    if (!status.peers.empty() &&
+        status.peers[0].acked_lsn >= status.local_durable) {
+      return true;
+    }
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
 }
 
 // Promotion: bump the file set's epoch and recover a cluster over it.
@@ -362,6 +381,70 @@ TEST(ReplicationTest, LostAckReconcilesOnResume) {
   EXPECT_GT(ack_faults.frames_seen(), 3u);
   EXPECT_TRUE(WaitConverged(**cluster, *replica, 1));
   EXPECT_EQ(replica->ShardLastLsn(0), DurableLsn(**cluster, 0));
+}
+
+// The in-memory tail is bounded (tail_buffer_frames). A peer cut off
+// while its ack still lies inside the tail resumes from the tail and gets
+// exactly the frames after its ack; a peer cut off long enough that the
+// tail evicted frames above its ack catches up from the WAL file, and
+// tail_evictions counts each such frame. The replica accepts only batches
+// contiguous from its last LSN, and its log ends as 1..durable with no
+// gap or duplicate.
+TEST(ReplicationTest, TailEvictionFallsBackToWalFile) {
+  TempDir dir;
+  auto replica = StartReplica(dir, "replica");
+  ASSERT_NE(replica, nullptr);
+  auto cluster = AdeptCluster::Create(PrimaryOptions(dir, 1));
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  ToggleFaultInjector cut;  // primary -> replica direction
+  ReplicationOptions repl = ReplOptions({replica->port()}, 1);
+  repl.peer_fault_injectors = {&cut};
+  repl.tail_buffer_frames = 16;
+  repl.io_timeout_ms = 200;  // a cut session times out and redials fast
+  ASSERT_TRUE((*cluster)->AttachReplication(repl).ok());
+  ASSERT_TRUE((*cluster)->DeployProcessType(SequenceSchema(4)).ok());
+  ASSERT_EQ(CreateMany(**cluster, 20).size(), 20u);
+  auto status = [&] { return (*cluster)->ReplicationStatus().shards[0]; };
+
+  // Resume mid-tail: the frames committed while cut are all still
+  // buffered, and the ones evicted meanwhile were acked (not counted).
+  ASSERT_TRUE(WaitPeerAcked(**cluster));
+  const uint64_t acked = status().local_durable;
+  const uint64_t evictions = status().tail_evictions;
+  cut.set_enabled(true);
+  ASSERT_EQ(CreateMany(**cluster, 4).size(), 4u);
+  PrimaryStatus mid = status();
+  ASSERT_GT(mid.local_durable, acked);
+  ASSERT_LT(mid.local_durable - acked, repl.tail_buffer_frames);
+  EXPECT_EQ(mid.tail_evictions, evictions);
+  cut.set_enabled(false);
+  ASSERT_TRUE(WaitConverged(**cluster, *replica, 1));
+  EXPECT_EQ(replica->ShardLastLsn(0), mid.local_durable);
+
+  // Fall behind the evicted front: every frame evicted above the peer's
+  // ack counts, and the peer catches up from the WAL file.
+  ASSERT_TRUE(WaitPeerAcked(**cluster));
+  const uint64_t behind_ack = status().local_durable;
+  const uint64_t behind_evictions = status().tail_evictions;
+  cut.set_enabled(true);
+  ASSERT_EQ(CreateMany(**cluster, 40).size(), 40u);
+  PrimaryStatus behind = status();
+  ASSERT_GT(behind.local_durable - behind_ack, repl.tail_buffer_frames);
+  EXPECT_EQ(behind.tail_frames, repl.tail_buffer_frames);
+  EXPECT_EQ(behind.tail_evictions - behind_evictions,
+            behind.local_durable - repl.tail_buffer_frames - behind_ack);
+  cut.set_enabled(false);
+  ASSERT_TRUE(WaitConverged(**cluster, *replica, 1));
+  EXPECT_EQ(replica->ShardLastLsn(0), behind.local_durable);
+
+  (*cluster)->DetachReplication();
+  replica->Stop();
+  auto scan = WriteAheadLog::Scan(dir.File("replica.wal.shard0"));
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  ASSERT_EQ(scan->records.size(), behind.local_durable);
+  for (size_t i = 0; i < scan->records.size(); ++i) {
+    EXPECT_EQ(scan->records[i].lsn, i + 1);
+  }
 }
 
 // A replica that joins after the frames it needs were checkpoint-

@@ -449,6 +449,67 @@ TEST_F(WorklistServiceTest, BulkMigrationRetractsOfferedAndClaimedOnce) {
   EXPECT_EQ(stats.claimed, 0u);
 }
 
+// Bias cancellation on a cluster: each shard's Migrate remaps its biased
+// instances onto the type's node ids without per-node events and reports
+// every migrated instance to the service (OnInstanceMigrated) under the
+// shard lock. No caller runs a resync, yet stale items — offered or
+// claimed — are gone when Migrate returns.
+TEST_F(WorklistServiceTest, BiasCancellationMigrationDropsStaleItems) {
+  auto cluster = AdeptCluster::Create({.shards = 2});
+  ASSERT_TRUE(cluster.ok());
+  Init(**cluster);
+  WorklistService& worklist = (*cluster)->Worklist();
+
+  NodeId prepare = schema_->FindNodeByName("prepare");
+  NodeId execute = schema_->FindNodeByName("execute");
+  auto make_insert = [&] {
+    Delta delta;
+    NewActivitySpec spec;
+    spec.name = "inspect";
+    spec.role = clerk_;
+    delta.Add(std::make_unique<SerialInsertOp>(spec, prepare, execute));
+    return delta;
+  };
+  constexpr int kInstances = 4;  // two per shard
+  for (int i = 0; i < kInstances; ++i) {
+    InstanceId id = *(*cluster)->CreateInstance("wl_proc");
+    ASSERT_TRUE((*cluster)->StartActivity(id, prepare).ok());
+    ASSERT_TRUE((*cluster)->CompleteActivity(id, prepare).ok());
+    // Ad hoc: "inspect" (clerk) activates and is offered under a bias id.
+    ASSERT_TRUE((*cluster)->ApplyAdHocChange(id, make_insert()).ok());
+  }
+  auto stale = worklist.OffersFor(alice_);
+  ASSERT_EQ(stale.size(), static_cast<size_t>(kInstances));
+  ASSERT_TRUE(worklist.Claim(stale[0].id, alice_).ok());
+  // Each insert demoted "execute", retracting bob's offer once already.
+  const size_t revoked_before = worklist.Stats().revoked_total;
+  ASSERT_EQ(revoked_before, static_cast<size_t>(kInstances));
+
+  // The type evolves by the same change; migration cancels every bias.
+  auto v2 = (*cluster)->EvolveProcessType(v1_id_, make_insert());
+  ASSERT_TRUE(v2.ok());
+  auto report = (*cluster)->Migrate(v1_id_, *v2);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->MigratedTotal(), static_cast<size_t>(kInstances));
+
+  for (const WorkItem& item : stale) {
+    EXPECT_EQ(worklist.Claim(item.id, carol_).code(), StatusCode::kNotFound);
+  }
+  EXPECT_EQ(worklist.Stats().revoked_total,
+            revoked_before + static_cast<size_t>(kInstances));
+  EXPECT_TRUE(worklist.AssignedTo(alice_).empty());
+  // One fresh offer per instance, on the type's node ids, claimable.
+  auto fresh = worklist.OffersFor(alice_);
+  ASSERT_EQ(fresh.size(), static_cast<size_t>(kInstances));
+  for (const WorkItem& item : fresh) {
+    auto snapshot = (*cluster)->SnapshotOf(item.instance);
+    ASSERT_NE(snapshot, nullptr);
+    EXPECT_FALSE(snapshot->biased);
+    EXPECT_NE(snapshot->schema->FindNode(item.node), nullptr);
+    EXPECT_TRUE(worklist.Claim(item.id, alice_).ok());
+  }
+}
+
 TEST_F(WorklistServiceTest, AdHocDeletionRetractsClaimedItem) {
   auto cluster = AdeptCluster::Create({.shards = 2});
   ASSERT_TRUE(cluster.ok());
