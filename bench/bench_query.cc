@@ -8,6 +8,12 @@
 //                            over the published snapshots (the
 //                            ForEachSnapshot-style sweep every consumer
 //                            ran before the query engine existed)
+//   BM_QueryIntersectSkewed  AdeptCluster::Query of a two-conjunct
+//                            predicate on a 2-shard cluster of 10k
+//                            instances: one conjunct matches ~95 % of
+//                            them, the other ~10 %. The planner draws
+//                            candidates from the small set and narrows
+//                            them by the large one
 //   BM_QueryIndexMaintenance BM_ClusterBatchThroughput's write workload
 //                            with indexes disabled (Arg 0) vs enabled
 //                            (Arg 1) — the price of index deltas on the
@@ -148,6 +154,68 @@ void BM_QueryScan(benchmark::State& state) {
 BENCHMARK(BM_QueryScan)
     ->ArgsProduct({{1000, 10000, 100000}, {0, 1, 2}})
     ->Unit(benchmark::kMicrosecond);
+
+// --- Skewed two-index intersection on a cluster ------------------------------
+
+constexpr int kSkewedPopulation = 10000;
+
+// intake writes `open` (false when i % 20 == 7) and `bucket` (i % 10),
+// then the instance parks on "work": `data.open == true` holds for 95 %,
+// `data.bucket == 7` for 10 %, and both for 5 %.
+AdeptCluster* SkewedCluster() {
+  static std::unique_ptr<AdeptCluster> cluster = [] {
+    std::unique_ptr<AdeptCluster> none;
+    auto created = AdeptCluster::Create({.shards = 2});
+    if (!created.ok()) return none;
+    SchemaBuilder b("skewed", 1);
+    DataId open = b.Data("open", DataType::kBool);
+    DataId bucket = b.Data("bucket", DataType::kInt);
+    NodeId intake = b.Activity("intake");
+    b.Writes(intake, open);
+    b.Writes(intake, bucket);
+    b.Activity("work");
+    auto schema = b.Build();
+    if (!schema.ok() || !(*created)->DeployProcessType(*schema).ok()) {
+      return none;
+    }
+    for (int i = 0; i < kSkewedPopulation; ++i) {
+      auto id = (*created)->CreateInstance("skewed");
+      if (!id.ok() || !(*created)->StartActivity(*id, intake).ok() ||
+          !(*created)
+               ->CompleteActivity(*id, intake,
+                                  {{open, DataValue::Bool(i % 20 != 7)},
+                                   {bucket, DataValue::Int(i % 10)}})
+               .ok()) {
+        return none;
+      }
+    }
+    return std::move(*created);
+  }();
+  return cluster.get();
+}
+
+void BM_QueryIntersectSkewed(benchmark::State& state) {
+  AdeptCluster* cluster = SkewedCluster();
+  if (cluster == nullptr) {
+    state.SkipWithError("population setup failed");
+    return;
+  }
+  size_t matches = 0;
+  size_t evaluated = 0;
+  for (auto _ : state) {
+    auto result = cluster->Query("data.open == true && data.bucket == 7");
+    benchmark::DoNotOptimize(result);
+    if (result.ok()) {
+      matches = result->size();
+      evaluated = result->evaluated;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["population"] = kSkewedPopulation;
+  state.counters["matches"] = static_cast<double>(matches);
+  state.counters["evaluated"] = static_cast<double>(evaluated);
+}
+BENCHMARK(BM_QueryIntersectSkewed)->Unit(benchmark::kMicrosecond);
 
 // --- Index maintenance overhead on the write path ----------------------------
 

@@ -666,7 +666,10 @@ void AdeptCluster::CollectQueryMatches(const CompiledQuery& query,
   // after the epoch proved stable across the whole collection — within
   // one stable epoch every instance lives on exactly one shard, so the
   // merge is duplicate-free. Index candidacy is per shard; every hit was
-  // re-validated against its shard's current published snapshot.
+  // re-validated against its shard's current published snapshot. Each
+  // shard appends its matches as one ascending run; the runs are merged
+  // once the batch is accepted.
+  std::vector<size_t> run_ends;
   for (;;) {
     const bool poisoned = !CheckTopology().ok();
     const uint64_t before = read_epoch_.load(std::memory_order_acquire);
@@ -674,19 +677,19 @@ void AdeptCluster::CollectQueryMatches(const CompiledQuery& query,
       std::this_thread::yield();  // resize in flight; the view is settling
       continue;
     }
-    result->snapshots.clear();
-    result->used_index = false;
-    result->evaluated = 0;
+    *result = QueryResult();
+    run_ends.clear();
     const ReadView* view = read_view_.load(std::memory_order_acquire);
     for (AdeptSystem* system : view->systems) {
       system->CollectQueryMatches(query, result);
+      run_ends.push_back(result->snapshots.size());
     }
     const uint64_t after = read_epoch_.load(std::memory_order_acquire);
     // After a failed resize the epoch never stabilizes; sweep the last
     // published view best-effort instead of spinning forever.
     if (poisoned || before == after) break;
   }
-  SortQueryResult(result);
+  MergeQueryRuns(run_ends, result);
 }
 
 Result<QueryResult> AdeptCluster::Query(const std::string& query) const {

@@ -453,7 +453,7 @@ class AdeptCluster : public AdeptApi {
   // Body of Query/ForEachSnapshot: fans the compiled predicate out to
   // every shard of the read view, retrying until the routing epoch is
   // stable across the whole collection (or sweeping best-effort once
-  // topology-poisoned), then sorts the merge by instance id.
+  // topology-poisoned), then merges the shards' ascending-id runs.
   void CollectQueryMatches(const CompiledQuery& query,
                            QueryResult* result) const;
 

@@ -141,8 +141,8 @@ class AdeptSystem : public AdeptApi {
   Result<QueryResult> Query(const std::string& query) const override;
 
   // Appends this system's matches for an already compiled query to
-  // `result` (unsorted — the cluster's fan-out merges across shards and
-  // sorts once). Takes no engine lock.
+  // `result` as one ascending-id run (the cluster's fan-out merges the
+  // shards' runs). Takes no engine lock.
   void CollectQueryMatches(const CompiledQuery& query,
                            QueryResult* result) const;
 

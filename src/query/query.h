@@ -38,16 +38,23 @@ namespace adept {
 // order. A cursor over immutable state — iterating holds no lock, and
 // each shared_ptr pins the matched version for as long as the caller
 // keeps it.
+//
+// The plan fields describe what execution did. Each shard of a cluster
+// plans on its own (by its own set sizes), and a fan-out merges the
+// shards' fields as: `used_index` true if any shard used an index,
+// `index_probes` the maximum over shards, `evaluated` the sum.
 struct QueryResult {
   std::vector<std::shared_ptr<const InstanceSnapshot>> snapshots;
-  // True when an index narrowed the candidate set (vs a full table scan).
+  // True when candidates came from an index or an `id == K` point lookup
+  // (vs a full table scan).
   bool used_index = false;
-  // Index probes the planner executed: 0 on a scan, 1 for a single
-  // indexable conjunct, 2 when two conjuncts' candidate sets were
-  // intersected before re-validation.
+  // Id sets the candidates were drawn from: 0 on a scan, 1 for the
+  // smallest set alone (or an `id == K` lookup, or an empty smallest set
+  // that answered without a fetch), 2 when the smallest set was narrowed
+  // by the next-smallest before re-validation.
   int index_probes = 0;
   // Candidates fetched and evaluated (a scan evaluates every published
-  // snapshot; an indexed run only the probe's candidates).
+  // snapshot; an indexed run only the candidates left after narrowing).
   size_t evaluated = 0;
   // Graceful degradation (cluster reads only): true when at least one
   // shard's replication primary cannot currently commit (fenced or below
@@ -92,22 +99,27 @@ class CompiledQuery {
 };
 
 // Executes `query` against one system's published snapshots and appends
-// the matches to `result` (unsorted; the caller merges/sorts — see
-// RunQuery for the single-system convenience). When `index` is non-null
-// and a top-level conjunct is indexable, candidates come from the index;
-// otherwise from a full SnapshotTable::Collect. Every candidate is
-// re-fetched from `table` and the full predicate re-evaluated, so index
-// staleness never yields a stale-wrong match.
+// the matches to `result` as one run in ascending id order, merging the
+// plan fields by the rule on QueryResult. The plan: an `id == K` conjunct
+// is a point lookup; otherwise, when `index` is non-null, the indexable
+// top-level conjuncts are ordered by the size of their id sets. An empty
+// smallest set answers at once; a smallest set covering more than half
+// the table runs the scan; any other draws candidates from the smallest
+// set, narrowed by the next-smallest. Every candidate is re-fetched from
+// `table` and the full predicate re-evaluated, so index staleness never
+// yields a stale-wrong match.
 void RunQueryInto(const CompiledQuery& query, const SnapshotTable& table,
                   const QueryIndex* index, QueryResult* result);
 
-// Single-system execution: RunQueryInto + ascending-id sort.
+// Single-system execution into a fresh result.
 QueryResult RunQuery(const CompiledQuery& query, const SnapshotTable& table,
                      const QueryIndex* index);
 
-// Sorts matches by ascending instance id (cluster merges call this once
-// after fanning RunQueryInto out across shards).
-void SortQueryResult(QueryResult* result);
+// Merges the ascending runs [0, run_ends[0]), [run_ends[0], run_ends[1]),
+// ..., [run_ends.back(), size()) of `result->snapshots` into one ascending
+// sequence in O(n log k) for k runs (a cluster fan-out: one run per
+// shard).
+void MergeQueryRuns(const std::vector<size_t>& run_ends, QueryResult* result);
 
 }  // namespace adept
 

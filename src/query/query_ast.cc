@@ -359,15 +359,14 @@ bool Expr::Eval(const InstanceSnapshot& snapshot) const {
     case ExprKind::kCompare:
       // `state` compares by lifecycle rank (created < running < finished),
       // not by the lexicographic order of the state names; the parser
-      // guarantees the literal is one of the three names.
+      // resolved the literal's rank (-1 for an ordering against a
+      // non-state literal, which never matches).
       if (field == FieldKind::kState) {
+        if (state_rank < 0) return false;
         const int rank = SnapshotStateRank(snapshot);
-        const int want = StateRankOfName(literal.type ==
-                                                 Literal::Type::kString
-                                             ? literal.string_value
-                                             : std::string());
-        if (want < 0) return false;
-        return OrderToBool(op, rank < want ? -1 : (rank > want ? 1 : 0));
+        return OrderToBool(op, rank < state_rank
+                                   ? -1
+                                   : (rank > state_rank ? 1 : 0));
       }
       return CompareValues(ExtractField(snapshot, field, name), op, literal);
     case ExprKind::kNodeIn:

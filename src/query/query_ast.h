@@ -101,6 +101,9 @@ struct Expr {
   FieldKind field = FieldKind::kId;
   CompareOp op = CompareOp::kEq;
   Literal literal;
+  // kCompare(kState): the literal's lifecycle rank (StateRankOfName),
+  // resolved once at parse time; -1 when the literal names no state.
+  int state_rank = -1;
   // kCompare(kData): data-element name; kNodeIn / kActivatedSince /
   // kHasData: node resp. data-element name. kActivatedSince also uses
   // `literal` (int) as the sequence threshold.

@@ -56,14 +56,6 @@ std::vector<std::pair<std::string, std::string>> DataKeys(
   return keys;
 }
 
-std::vector<InstanceId> ToIds(
-    const std::unordered_set<uint64_t>& set) {
-  std::vector<InstanceId> ids;
-  ids.reserve(set.size());
-  for (uint64_t v : set) ids.push_back(InstanceId(v));
-  return ids;
-}
-
 }  // namespace
 
 std::string QueryIndex::EncodeDataKey(const DataValue& value) {
@@ -305,86 +297,192 @@ void QueryIndex::Clear() {
   }
 }
 
-std::vector<InstanceId> QueryIndex::BySchema(uint64_t schema_ref) const {
-  std::lock_guard<std::mutex> lock(schema_.mu);
-  auto it = schema_.map.find(schema_ref);
-  return it == schema_.map.end() ? std::vector<InstanceId>{}
-                                 : ToIds(it->second);
+QueryIndex::ProbeKey QueryIndex::ProbeKey::Schema(uint64_t schema_ref) {
+  ProbeKey key;
+  key.family = Family::kSchema;
+  key.number = schema_ref;
+  return key;
 }
 
-std::vector<InstanceId> QueryIndex::ByStateRank(int rank) const {
-  if (rank < 0 || rank > 2) return {};
-  std::lock_guard<std::mutex> lock(state_.mu);
-  return ToIds(state_.by_rank[rank]);
+QueryIndex::ProbeKey QueryIndex::ProbeKey::State(int rank) {
+  ProbeKey key;
+  key.family = Family::kState;
+  // An out-of-range rank names no set (FindLocked answers nullptr).
+  key.number = static_cast<uint64_t>(rank);
+  return key;
 }
 
-std::vector<InstanceId> QueryIndex::ByBiased() const {
-  std::lock_guard<std::mutex> lock(state_.mu);
-  return ToIds(state_.biased);
+QueryIndex::ProbeKey QueryIndex::ProbeKey::Biased() { return ProbeKey(); }
+
+QueryIndex::ProbeKey QueryIndex::ProbeKey::Node(query::NodeSet set,
+                                                std::string name) {
+  ProbeKey key;
+  key.family = Family::kNode;
+  key.node_set = set;
+  key.name = std::move(name);
+  return key;
 }
 
-std::vector<InstanceId> QueryIndex::ByNode(query::NodeSet set,
-                                           const std::string& name) const {
-  const NodeFamily& family =
-      set == query::NodeSet::kActivated ? activated_ : running_;
-  std::lock_guard<std::mutex> lock(family.mu);
-  auto it = family.map.find(name);
-  return it == family.map.end() ? std::vector<InstanceId>{}
-                                : ToIds(it->second);
+QueryIndex::ProbeKey QueryIndex::ProbeKey::Data(std::string field,
+                                                const DataValue& value) {
+  ProbeKey key;
+  key.family = Family::kData;
+  key.name = std::move(field);
+  key.data_key = EncodeDataKey(value);
+  return key;
 }
 
-std::vector<InstanceId> QueryIndex::ByDataValue(const std::string& field,
-                                                const DataValue& value) const {
-  const std::string key = EncodeDataKey(value);
-  std::lock_guard<std::mutex> lock(data_.mu);
-  auto field_it = data_.map.find(field);
-  if (field_it == data_.map.end()) return {};
-  auto key_it = field_it->second.find(key);
-  return key_it == field_it->second.end() ? std::vector<InstanceId>{}
-                                          : ToIds(key_it->second);
+QueryIndex::ProbeKey QueryIndex::ProbeKey::Version(query::CompareOp op,
+                                                   int64_t bound) {
+  ProbeKey key;
+  key.family = Family::kVersion;
+  key.op = op;
+  key.bound = bound;
+  return key;
 }
 
-std::vector<InstanceId> QueryIndex::ByVersion(query::CompareOp op,
-                                              int64_t bound) const {
+std::mutex& QueryIndex::MutexOf(const ProbeKey& key) const {
+  switch (key.family) {
+    case ProbeKey::Family::kSchema:
+      return schema_.mu;
+    case ProbeKey::Family::kNode:
+      return key.node_set == query::NodeSet::kActivated ? activated_.mu
+                                                        : running_.mu;
+    case ProbeKey::Family::kData:
+      return data_.mu;
+    case ProbeKey::Family::kVersion:
+      return version_.mu;
+    case ProbeKey::Family::kState:
+    case ProbeKey::Family::kBiased:
+      break;
+  }
+  return state_.mu;
+}
+
+const QueryIndex::IdSet* QueryIndex::FindLocked(const ProbeKey& key) const {
+  switch (key.family) {
+    case ProbeKey::Family::kSchema: {
+      auto it = schema_.map.find(key.number);
+      return it == schema_.map.end() ? nullptr : &it->second;
+    }
+    case ProbeKey::Family::kState:
+      return key.number < 3 ? &state_.by_rank[key.number] : nullptr;
+    case ProbeKey::Family::kBiased:
+      return &state_.biased;
+    case ProbeKey::Family::kNode: {
+      const NodeFamily& family = key.node_set == query::NodeSet::kActivated
+                                     ? activated_
+                                     : running_;
+      auto it = family.map.find(key.name);
+      return it == family.map.end() ? nullptr : &it->second;
+    }
+    case ProbeKey::Family::kData: {
+      auto field_it = data_.map.find(key.name);
+      if (field_it == data_.map.end()) return nullptr;
+      auto key_it = field_it->second.find(key.data_key);
+      return key_it == field_it->second.end() ? nullptr : &key_it->second;
+    }
+    case ProbeKey::Family::kVersion:
+      break;
+  }
+  return nullptr;
+}
+
+template <typename Fn>
+void QueryIndex::ForEachVersionSetLocked(const ProbeKey& key, Fn&& fn) const {
   using query::CompareOp;
-  std::vector<InstanceId> ids;
-  std::lock_guard<std::mutex> lock(version_.mu);
+  CompareOp op = key.op;
+  int64_t bound = key.bound;
   // Versions are unsigned; clamp a negative bound to "below everything".
   if (bound < 0) {
     if (op == CompareOp::kLt || op == CompareOp::kLe ||
         op == CompareOp::kEq) {
-      return ids;
+      return;
     }
     bound = 0;  // kGt/kGe: everything qualifies, fall through with [0, end)
     op = CompareOp::kGe;
   }
-  const uint64_t key = static_cast<uint64_t>(bound);
+  const uint64_t v = static_cast<uint64_t>(bound);
   auto begin = version_.map.begin();
   auto end = version_.map.end();
   switch (op) {
-    case CompareOp::kEq: {
-      auto it = version_.map.find(key);
-      return it == end ? ids : ToIds(it->second);
-    }
+    case CompareOp::kEq:
+      begin = version_.map.lower_bound(v);
+      end = version_.map.upper_bound(v);
+      break;
     case CompareOp::kLt:
-      end = version_.map.lower_bound(key);
+      end = version_.map.lower_bound(v);
       break;
     case CompareOp::kLe:
-      end = version_.map.upper_bound(key);
+      end = version_.map.upper_bound(v);
       break;
     case CompareOp::kGt:
-      begin = version_.map.upper_bound(key);
+      begin = version_.map.upper_bound(v);
       break;
     case CompareOp::kGe:
-      begin = version_.map.lower_bound(key);
+      begin = version_.map.lower_bound(v);
       break;
     case CompareOp::kNe:
-      return ids;  // never planned; a != probe would be a full scan
+      return;  // never planned; a != probe would be a full scan
   }
-  for (auto it = begin; it != end; ++it) {
-    for (uint64_t v : it->second) ids.push_back(InstanceId(v));
+  for (auto it = begin; it != end; ++it) fn(it->second);
+}
+
+size_t QueryIndex::Count(const ProbeKey& key) const {
+  size_t count = 0;
+  std::lock_guard<std::mutex> lock(MutexOf(key));
+  if (key.family == ProbeKey::Family::kVersion) {
+    ForEachVersionSetLocked(key, [&](const IdSet& set) {
+      count += set.size();
+    });
+  } else if (const IdSet* set = FindLocked(key)) {
+    count = set->size();
   }
-  return ids;
+  return count;
+}
+
+void QueryIndex::AppendIds(const ProbeKey& key,
+                           std::vector<InstanceId>* out) const {
+  auto append = [out](const IdSet& set) {
+    for (uint64_t v : set) out->push_back(InstanceId(v));
+  };
+  std::lock_guard<std::mutex> lock(MutexOf(key));
+  if (key.family == ProbeKey::Family::kVersion) {
+    ForEachVersionSetLocked(key, append);
+  } else if (const IdSet* set = FindLocked(key)) {
+    out->reserve(out->size() + set->size());
+    append(*set);
+  }
+}
+
+void QueryIndex::Retain(const ProbeKey& key,
+                        std::vector<InstanceId>* ids) const {
+  auto keep_members = [ids](const IdSet& set) {
+    ids->erase(std::remove_if(ids->begin(), ids->end(),
+                              [&set](InstanceId id) {
+                                return set.count(id.value()) == 0;
+                              }),
+               ids->end());
+  };
+  if (key.family == ProbeKey::Family::kVersion) {
+    // A range spans many sets; materialize their union once.
+    IdSet members;
+    {
+      std::lock_guard<std::mutex> lock(version_.mu);
+      ForEachVersionSetLocked(key, [&](const IdSet& set) {
+        members.insert(set.begin(), set.end());
+      });
+    }
+    keep_members(members);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(MutexOf(key));
+  const IdSet* set = FindLocked(key);
+  if (set == nullptr) {
+    ids->clear();
+  } else {
+    keep_members(*set);
+  }
 }
 
 }  // namespace adept

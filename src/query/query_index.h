@@ -11,6 +11,14 @@
 //   version    last-publication version    -> instance ids (ordered map,
 //              so staleness queries like `version <= K` are range scans)
 //
+// A ProbeKey names one id set (a version range: the union of the ranged
+// sets). The planner reads a set through three operations, each taking
+// its family's lock once and copying at most the ids it returns:
+//
+//   Count(key)           the set's size — what the planner orders by
+//   AppendIds(key, out)  appends the set's ids (unordered)
+//   Retain(key, ids)     drops from `ids` every id outside the set
+//
 // Maintenance is a delta update driven from the same snapshot-publication
 // hook that feeds the striped SnapshotTable: AdeptSystem::PublishSnapshot
 // hands the previous and the new snapshot to ApplyDelta, which touches
@@ -68,19 +76,35 @@ class QueryIndex {
 
   void Clear();
 
-  // --- Candidate lookups (see the correctness contract above) ---------------
+  // --- Candidate probes (see the correctness contract above) ---------------
 
-  std::vector<InstanceId> BySchema(uint64_t schema_ref) const;
-  // `rank`: 0 created, 1 running, 2 finished (query::SnapshotStateRank).
-  std::vector<InstanceId> ByStateRank(int rank) const;
-  std::vector<InstanceId> ByBiased() const;
-  std::vector<InstanceId> ByNode(query::NodeSet set,
-                                 const std::string& name) const;
-  std::vector<InstanceId> ByDataValue(const std::string& field,
-                                      const DataValue& value) const;
-  // Ids whose last-publication version satisfies `version <op> bound`
-  // (op is never kNe; the planner does not emit it).
-  std::vector<InstanceId> ByVersion(query::CompareOp op, int64_t bound) const;
+  // One probe: a family and the key of one of its id sets.
+  struct ProbeKey {
+    enum class Family { kSchema, kState, kBiased, kNode, kData, kVersion };
+
+    static ProbeKey Schema(uint64_t schema_ref);
+    // `rank`: 0 created, 1 running, 2 finished (query::SnapshotStateRank).
+    static ProbeKey State(int rank);
+    static ProbeKey Biased();
+    static ProbeKey Node(query::NodeSet set, std::string name);
+    static ProbeKey Data(std::string field, const DataValue& value);
+    // Ids whose last-publication version satisfies `version <op> bound`
+    // (op is never kNe; the planner does not emit it).
+    static ProbeKey Version(query::CompareOp op, int64_t bound);
+
+    Family family = Family::kBiased;
+    uint64_t number = 0;  // kSchema: schema ref; kState: rank
+    query::NodeSet node_set = query::NodeSet::kActivated;  // kNode
+    std::string name;      // kNode: node name; kData: element name
+    std::string data_key;  // kData: EncodeDataKey(value)
+    query::CompareOp op = query::CompareOp::kEq;  // kVersion
+    int64_t bound = 0;                            // kVersion
+  };
+
+  size_t Count(const ProbeKey& key) const;
+  void AppendIds(const ProbeKey& key, std::vector<InstanceId>* out) const;
+  // Keeps the relative order of the ids it retains.
+  void Retain(const ProbeKey& key, std::vector<InstanceId>* ids) const;
 
   // Exact-type value encoding shared by maintenance and probes ("i:42",
   // "s:express", "b:1", "d:2.5"); equality's type-strictness means one
@@ -113,6 +137,14 @@ class QueryIndex {
     mutable std::mutex mu;
     std::map<uint64_t, IdSet> map;
   };
+
+  // The lock guarding `key`'s family, and — with that lock held — its id
+  // set (nullptr when empty). Not for kVersion, which has no single set.
+  std::mutex& MutexOf(const ProbeKey& key) const;
+  const IdSet* FindLocked(const ProbeKey& key) const;
+  // With version_.mu held: calls `fn` on each id set in `key`'s range.
+  template <typename Fn>
+  void ForEachVersionSetLocked(const ProbeKey& key, Fn&& fn) const;
 
   void UpdateNodeFamily(NodeFamily& family, uint64_t id,
                         const InstanceSnapshot* before,

@@ -225,6 +225,10 @@ class Parser {
     node->name = std::move(data_name);
     node->op = op;
     node->literal = std::move(literal);
+    if (field == FieldKind::kState &&
+        node->literal.type == Literal::Type::kString) {
+      node->state_rank = StateRankOfName(node->literal.string_value);
+    }
     return std::unique_ptr<Expr>(std::move(node));
   }
 

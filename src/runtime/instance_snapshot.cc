@@ -17,21 +17,29 @@ std::shared_ptr<const InstanceSnapshot> SnapshotTable::Get(
 std::shared_ptr<const InstanceSnapshot> SnapshotTable::Publish(
     std::shared_ptr<InstanceSnapshot> snapshot) {
   Stripe& stripe = StripeOf(snapshot->id);
-  std::lock_guard<SpinLock> lock(stripe.mu);
-  auto& slot = stripe.entries[snapshot->id.value()];
-  std::shared_ptr<const InstanceSnapshot> previous = std::move(slot);
-  snapshot->version = (previous == nullptr ? 0 : previous->version) + 1;
-  slot = std::move(snapshot);
+  std::shared_ptr<const InstanceSnapshot> previous;
+  {
+    std::lock_guard<SpinLock> lock(stripe.mu);
+    auto& slot = stripe.entries[snapshot->id.value()];
+    previous = std::move(slot);
+    snapshot->version = (previous == nullptr ? 0 : previous->version) + 1;
+    slot = std::move(snapshot);
+  }
+  if (previous == nullptr) ++size_;
   return previous;
 }
 
 std::shared_ptr<const InstanceSnapshot> SnapshotTable::Erase(InstanceId id) {
   Stripe& stripe = StripeOf(id);
-  std::lock_guard<SpinLock> lock(stripe.mu);
-  auto it = stripe.entries.find(id.value());
-  if (it == stripe.entries.end()) return nullptr;
-  std::shared_ptr<const InstanceSnapshot> previous = std::move(it->second);
-  stripe.entries.erase(it);
+  std::shared_ptr<const InstanceSnapshot> previous;
+  {
+    std::lock_guard<SpinLock> lock(stripe.mu);
+    auto it = stripe.entries.find(id.value());
+    if (it == stripe.entries.end()) return nullptr;
+    previous = std::move(it->second);
+    stripe.entries.erase(it);
+  }
+  --size_;
   return previous;
 }
 

@@ -137,6 +137,10 @@ class SnapshotTable {
   void Collect(
       std::vector<std::shared_ptr<const InstanceSnapshot>>* out) const;
 
+  // Published instances. Maintained outside the stripe locks, so a reader
+  // racing a publisher may see the count a moment before or after it.
+  size_t size() const { return size_.load(); }
+
  private:
   static constexpr size_t kStripes = 64;
 
@@ -175,6 +179,7 @@ class SnapshotTable {
   }
 
   Stripe stripes_[kStripes];
+  std::atomic<size_t> size_{0};
 };
 
 }  // namespace adept

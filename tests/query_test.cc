@@ -336,14 +336,17 @@ TEST(QueryIndexTest, IndexAndScanAgreeOnRandomizedPopulation) {
   ASSERT_TRUE(selective.ok());
   EXPECT_TRUE(selective->used_index);
   EXPECT_LE(selective->evaluated, 1u);
+  // More than half of this population finished, so the state set covers
+  // more than half the table and the planner scans instead of probing.
   auto by_state = sys.Query("state == finished");
   ASSERT_TRUE(by_state.ok());
-  EXPECT_TRUE(by_state->used_index);
-  EXPECT_LE(by_state->evaluated, static_cast<size_t>(kPopulation));
+  ASSERT_GT(by_state->size() * 2, static_cast<size_t>(kPopulation));
+  EXPECT_FALSE(by_state->used_index);
+  EXPECT_EQ(by_state->evaluated, static_cast<size_t>(kPopulation));
 }
 
-// Two indexable conjuncts: the planner probes both indexes and
-// intersects the candidate id sets before fetching snapshots, so the
+// Two indexable conjuncts: the planner draws candidates from the smaller
+// id set and narrows them by the larger before fetching snapshots, so the
 // expensive re-validation runs only on ids both indexes agree on — and
 // the result stays exactly scan-equivalent.
 TEST(QueryIndexTest, TwoConjunctIntersectionMatchesScanAndEvaluatesFewer) {
@@ -366,20 +369,28 @@ TEST(QueryIndexTest, TwoConjunctIntersectionMatchesScanAndEvaluatesFewer) {
     }
   }
 
-  const char* kIntersections[] = {
-      "data.route == 1 && state == running",
-      "state == finished && data.route == 2",
-      "data.amount == 0.25 && state == created",
-      "version >= 2 && state == running",
-      "activated(\"intake\") && data.route == 1",
+  // The plan the cardinality rule picks on this population, as index
+  // probes: 2 when the smaller set is narrowed by the larger, 1 when the
+  // smaller set is empty (no instance has route 2, none is unstarted, no
+  // amount is 0.25) and answers alone, 0 when both sets cover more than
+  // half the table and the planner scans.
+  struct Case {
+    const char* text;
+    int probes;
   };
-  for (const char* text : kIntersections) {
+  const Case kIntersections[] = {
+      {"data.route == 1 && state == running", 2},
+      {"state == finished && data.route == 2", 1},
+      {"data.amount == 0.25 && state == created", 1},
+      {"version >= 2 && state == running", 0},
+      {"activated(\"intake\") && data.route == 1", 2},
+  };
+  for (const Case& c : kIntersections) {
+    const char* text = c.text;
     auto indexed = sys.Query(text);
     ASSERT_TRUE(indexed.ok()) << text << ": " << indexed.status();
-    EXPECT_TRUE(indexed->used_index) << text;
-    // An empty first probe short-circuits the second (nothing left to
-    // narrow), so two probes only run when the first found candidates.
-    EXPECT_GE(indexed->index_probes, 1) << text;
+    EXPECT_EQ(indexed->used_index, c.probes > 0) << text;
+    EXPECT_EQ(indexed->index_probes, c.probes) << text;
     auto compiled = CompiledQuery::Compile(text);
     ASSERT_TRUE(compiled.ok());
     QueryResult scan = RunQuery(*compiled, sys.snapshots(), nullptr);
@@ -392,7 +403,10 @@ TEST(QueryIndexTest, TwoConjunctIntersectionMatchesScanAndEvaluatesFewer) {
       if (std::string(text).find(part) == std::string::npos) continue;
       auto single = sys.Query(part);
       ASSERT_TRUE(single.ok());
-      EXPECT_EQ(single->index_probes, 1) << part;
+      // Quiesced, a state set holds exactly the matches: the planner
+      // scans when they are more than half of the 60 instances.
+      EXPECT_EQ(single->index_probes, single->size() * 2 > 60 ? 0 : 1)
+          << part;
       EXPECT_LE(indexed->evaluated, single->evaluated) << text;
     }
   }
@@ -402,13 +416,158 @@ TEST(QueryIndexTest, TwoConjunctIntersectionMatchesScanAndEvaluatesFewer) {
   ASSERT_TRUE(paired.ok());
   EXPECT_EQ(paired->index_probes, 2);
 
-  // Contradictory conjuncts: the intersection is empty, so nothing is
-  // fetched or evaluated at all.
+  // Contradictory conjuncts: no instance has route 2, so the empty
+  // smaller set answers alone and nothing is fetched or evaluated at all.
   auto none = sys.Query("data.route == 1 && data.route == 2");
   ASSERT_TRUE(none.ok());
-  EXPECT_EQ(none->index_probes, 2);
+  EXPECT_EQ(none->index_probes, 1);
   EXPECT_EQ(none->evaluated, 0u);
   EXPECT_TRUE(none->empty());
+}
+
+// --- Cardinality planning ---------------------------------------------------
+
+// Inserts an activity between a2 and a3 of a SequenceSchema(4) instance
+// that has not reached them, which marks the instance biased.
+Status Bias(AdeptApi& api, const ProcessSchema& schema, InstanceId id) {
+  Delta delta;
+  NewActivitySpec spec;
+  spec.name = "extra";
+  delta.Add(std::make_unique<SerialInsertOp>(
+      spec, schema.FindNodeByName("a2"), schema.FindNodeByName("a3")));
+  return api.ApplyAdHocChange(id, std::move(delta));
+}
+
+// kPopulation instances, every kBiasEvery-th of them biased; the first
+// biased one ran to completion, every other instance is still running.
+class CardinalityPlanTest : public ::testing::Test {
+ protected:
+  static constexpr int kPopulation = 40;
+  static constexpr int kBiasEvery = 8;
+  static constexpr size_t kBiased = kPopulation / kBiasEvery;
+  static constexpr size_t kRunningBiased = kBiased - 1;
+
+  void SetUp() override {
+    auto system = AdeptSystem::Create();
+    ASSERT_TRUE(system.ok());
+    system_ = std::move(*system);
+    auto schema = SequenceSchema(4);
+    ASSERT_TRUE(system_->DeployProcessType(schema).ok());
+    for (int i = 0; i < kPopulation; ++i) {
+      auto id = system_->CreateInstance("seq");
+      ASSERT_TRUE(id.ok());
+      if (i % kBiasEvery == 0) {
+        ASSERT_TRUE(Bias(*system_, *schema, *id).ok());
+      }
+      if (i == 0) {
+        SimulationDriver driver({.seed = 3});
+        ASSERT_TRUE(system_->DriveToCompletion(*id, driver).ok());
+      }
+    }
+  }
+
+  QueryResult Scan(const std::string& text) {
+    auto compiled = CompiledQuery::Compile(text);
+    EXPECT_TRUE(compiled.ok()) << text;
+    return RunQuery(*compiled, system_->snapshots(), nullptr);
+  }
+
+  std::unique_ptr<AdeptSystem> system_;
+};
+
+TEST_F(CardinalityPlanTest, SkewedPairDrawsFromTheSmallerSet) {
+  // Nearly every instance runs, few are biased: the candidates are the
+  // biased ids narrowed by the running set, whichever conjunct is written
+  // first — so the finished biased instance is never fetched.
+  auto forward = system_->Query("state == running && biased == true");
+  auto reverse = system_->Query("biased == true && state == running");
+  ASSERT_TRUE(forward.ok());
+  ASSERT_TRUE(reverse.ok());
+  EXPECT_EQ(Ids(*forward), Ids(Scan("state == running && biased == true")));
+  EXPECT_EQ(forward->size(), kRunningBiased);
+  for (const QueryResult* r : {&*forward, &*reverse}) {
+    EXPECT_TRUE(r->used_index);
+    EXPECT_EQ(r->index_probes, 2);
+    EXPECT_EQ(r->evaluated, kRunningBiased);
+  }
+  EXPECT_EQ(forward->evaluated, reverse->evaluated);
+  EXPECT_EQ(Ids(*forward), Ids(*reverse));
+}
+
+TEST_F(CardinalityPlanTest, ProbeCoveringMoreThanHalfTheTableScans) {
+  auto running = system_->Query("state == running");
+  ASSERT_TRUE(running.ok());
+  EXPECT_FALSE(running->used_index);
+  EXPECT_EQ(running->index_probes, 0);
+  EXPECT_EQ(running->evaluated, static_cast<size_t>(kPopulation));
+  EXPECT_EQ(Ids(*running), Ids(Scan("state == running")));
+}
+
+TEST_F(CardinalityPlanTest, EmptySmallestSetEvaluatesNothing) {
+  // Every instance started: the `created` set is empty wherever it is
+  // written.
+  for (const char* text : {"state == created && biased == true",
+                           "biased == true && state == created",
+                           "state == running && state == created"}) {
+    auto result = system_->Query(text);
+    ASSERT_TRUE(result.ok()) << text;
+    EXPECT_TRUE(result->empty()) << text;
+    EXPECT_TRUE(result->used_index) << text;
+    EXPECT_EQ(result->index_probes, 1) << text;
+    EXPECT_EQ(result->evaluated, 0u) << text;
+  }
+}
+
+TEST(QueryClusterTest, EveryPlanReturnsAscendingIdsAcrossFourShards) {
+  constexpr int kPopulation = 64;
+  auto cluster = AdeptCluster::Create({.shards = 4});
+  ASSERT_TRUE(cluster.ok());
+  auto schema = SequenceSchema(4);
+  ASSERT_TRUE((*cluster)->DeployProcessType(schema).ok());
+  std::vector<InstanceId> created;
+  for (int i = 0; i < kPopulation; ++i) {
+    auto id = (*cluster)->CreateInstance("seq");
+    ASSERT_TRUE(id.ok());
+    created.push_back(*id);
+    if (i % 7 == 0) {
+      ASSERT_TRUE(Bias(**cluster, *schema, *id).ok());
+    }
+  }
+
+  struct Case {
+    std::string text;
+    bool used_index;
+    int probes;
+  };
+  const Case kCases[] = {
+      {"id == " + std::to_string(created[kPopulation / 2].value()), true, 1},
+      {"state == running && biased == true", true, 2},
+      {"trace_length >= 0", false, 0},
+  };
+  for (const Case& c : kCases) {
+    auto result = (*cluster)->Query(c.text);
+    ASSERT_TRUE(result.ok()) << c.text;
+    EXPECT_EQ(result->used_index, c.used_index) << c.text;
+    EXPECT_EQ(result->index_probes, c.probes) << c.text;
+    auto ids = Ids(*result);
+    EXPECT_FALSE(ids.empty()) << c.text;
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end())) << c.text;
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
+        << c.text;
+    // The merge equals every shard's unindexed scan, sorted.
+    auto compiled = CompiledQuery::Compile(c.text);
+    ASSERT_TRUE(compiled.ok());
+    std::vector<uint64_t> want;
+    for (size_t s = 0; s < (*cluster)->shard_count(); ++s) {
+      for (uint64_t id : Ids(RunQuery(*compiled,
+                                      (*cluster)->shard(s).snapshots(),
+                                      nullptr))) {
+        want.push_back(id);
+      }
+    }
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(ids, want) << c.text;
+  }
 }
 
 TEST(QueryIndexTest, DisabledIndexesFallBackToScans) {
@@ -747,10 +906,12 @@ TEST(QueryStressTest, NoStaleWrongHitsAcrossMigrateAndResize) {
     auto indexed = (*cluster)->Query(text);
     ASSERT_TRUE(indexed.ok());
     QueryResult scan;
+    std::vector<size_t> run_ends;
     for (size_t s = 0; s < (*cluster)->shard_count(); ++s) {
       RunQueryInto(*c, (*cluster)->shard(s).snapshots(), nullptr, &scan);
+      run_ends.push_back(scan.size());
     }
-    SortQueryResult(&scan);
+    MergeQueryRuns(run_ends, &scan);
     EXPECT_EQ(Ids(*indexed), Ids(scan)) << "post-stress divergence: "
                                         << text;
   }

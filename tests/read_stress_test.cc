@@ -8,7 +8,9 @@
 // consistent (the redundant fields of InstanceSnapshot agree with its
 // marking), per-instance progress must be monotonic, and no read may ever
 // report a live instance absent or torn — including through the
-// evicted-at-source / published-at-destination window of the resize.
+// evicted-at-source / published-at-destination window of the resize. A
+// second test races a skewed two-index query against writers that move
+// instances in and out of both index sets.
 //
 // The ASan/UBSan and TSan CI jobs run this binary; the seqlock'd routing
 // epoch, the striped snapshot table, and the shared_ptr'd read view are
@@ -27,6 +29,7 @@
 #include "change/change_op.h"
 #include "cluster/adept_cluster.h"
 #include "model/schema_builder.h"
+#include "query/query.h"
 #include "worklist/worklist_service.h"
 
 namespace adept {
@@ -276,6 +279,104 @@ TEST(ReadStressTest, ReadersNeverObserveTornOrLostInstances) {
 // touched a shared node in place instead of path-copying — or any
 // publication that freed a node a retained root still references — is a
 // use-after-free / data race this test surfaces under ASan/TSan.
+// The cardinality-planned intersection under churn: one reader loops the
+// skewed `state == running && biased == true` (few biased, most running)
+// while writers drive instances to completion (running -> finished) and
+// replace them with fresh ones, every eighth of which is biased by an
+// ad-hoc change. The index sets the planner counts, draws from and
+// narrows by change under it; every hit must still satisfy the predicate,
+// and every result must be strictly ascending by id.
+TEST(ReadStressTest, SkewedIntersectionNeverReturnsAStaleMatch) {
+  constexpr int kPerWriter = 32;
+  constexpr int kWriters = 2;
+  constexpr int kBiasEvery = 8;
+  const char* kPredicate = "state == running && biased == true";
+
+  auto cluster = AdeptCluster::Create({.shards = 2});
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  RoleId clerk = *(*cluster)->org().AddRole("clerk");
+  auto schema = StressSchema(clerk);
+  ASSERT_NE(schema, nullptr);
+  ASSERT_TRUE((*cluster)->DeployProcessType(schema).ok());
+  const NodeId prepare = schema->FindNodeByName("prepare");
+  const NodeId loop_start = schema->FindNodeByName("loop_start");
+
+  std::atomic<int> created{0};
+  // A fresh instance; every kBiasEvery-th one is biased before it leaves
+  // "prepare", so the insert after it is always applicable.
+  auto create = [&]() -> InstanceId {
+    auto id = (*cluster)->CreateInstance("stress");
+    EXPECT_TRUE(id.ok()) << id.status();
+    if (!id.ok()) return InstanceId();
+    if (created.fetch_add(1, std::memory_order_relaxed) % kBiasEvery == 0) {
+      Delta delta;
+      NewActivitySpec spec;
+      spec.name = "extra";
+      spec.role = clerk;
+      delta.Add(std::make_unique<SerialInsertOp>(spec, prepare, loop_start));
+      Status st = (*cluster)->ApplyAdHocChange(*id, std::move(delta));
+      EXPECT_TRUE(st.ok()) << st;
+    }
+    return *id;
+  };
+  std::vector<std::vector<InstanceId>> owned(kWriters);
+  for (auto& ids : owned) {
+    for (int i = 0; i < kPerWriter; ++i) ids.push_back(create());
+  }
+
+  auto compiled = CompiledQuery::Compile(kPredicate);
+  ASSERT_TRUE(compiled.ok());
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> queries{0};
+  std::atomic<size_t> indexed{0};
+  std::atomic<size_t> bad{0};
+
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      auto result = (*cluster)->Query(kPredicate);
+      if (!result.ok()) {
+        bad.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      queries.fetch_add(1, std::memory_order_relaxed);
+      if (result->index_probes == 2) {
+        indexed.fetch_add(1, std::memory_order_relaxed);
+      }
+      uint64_t previous = 0;
+      for (const auto& hit : *result) {
+        if (!compiled->Matches(*hit) || hit->id.value() <= previous) {
+          bad.fetch_add(1, std::memory_order_relaxed);
+        }
+        previous = hit->id.value();
+      }
+    }
+  });
+
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      SimulationDriver driver({.seed = 300 + static_cast<uint64_t>(w),
+                               .loop_continue_probability = 0.3});
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (InstanceId& id : owned[static_cast<size_t>(w)]) {
+          auto stepped = (*cluster)->DriveStep(id, driver);
+          if (!stepped.ok() || !*stepped) id = create();
+        }
+      }
+    });
+  }
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  for (auto& t : writers) t.join();
+
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(queries.load(), 0u);
+  EXPECT_GT(indexed.load(), 0u) << "the skewed pair never ran narrowed";
+  EXPECT_GT(created.load(), kWriters * kPerWriter) << "no instance finished";
+}
+
 TEST(ReadStressTest, RetainedSnapshotRootsSurviveMutationsAndResize) {
   constexpr int kMutations = 10000;
   constexpr int kRetained = 64;
